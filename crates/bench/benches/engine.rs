@@ -104,7 +104,7 @@ fn bench_faulty_runs(c: &mut Criterion) {
     group.finish();
 }
 
-/// Greedy-policy scale targets (the PR 5 warm-start scenarios): Algorithm 5
+/// Greedy-policy scale targets: Algorithm 5
 /// at n = 1000 on p = 5000 under a 2-year-MTBF fault storm — exact IG-EL
 /// and IG-EG, plus the opt-in approximate WarmGreedy variant whose rebuild
 /// resumes from the committed allocation.

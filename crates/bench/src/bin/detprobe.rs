@@ -127,9 +127,9 @@ fn main() {
 
     // Greedy determinism grid (PR 5): the full greedy combination
     // (IteratedGreedy × EndGreedy) and the opt-in approximate WarmGreedy
-    // variant across both arrival processes, so Algorithm 5's warm-start
-    // dispatch (certificate, fallback and resumed loop) is pinned
-    // byte-for-byte like STF/EndLocal already are. Appended after the
+    // variant across both arrival processes, so Algorithm 5's exact reset
+    // and the approximate resumed loop are pinned byte-for-byte like
+    // STF/EndLocal already are. Appended after the
     // PR 4 blocks: every older line keeps its exact position and bytes.
     for seed in [3u64, 21, 77] {
         for (sname, strategy) in [

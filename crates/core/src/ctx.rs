@@ -18,7 +18,7 @@ use redistrib_model::{TaskId, TimeCalc};
 use redistrib_sim::trace::{TraceEvent, TraceLog};
 
 use crate::heap::LazyMaxHeap;
-use crate::incremental::{GreedyWarmStats, SessionOverlay};
+use crate::incremental::SessionOverlay;
 use crate::state::PackState;
 
 /// Persistent policy planning state, owned by the engine and threaded
@@ -43,8 +43,6 @@ pub struct PolicyScratch {
     /// Incremental session overlay (dirty set + stash), persistent across
     /// events with O(1) epoch invalidation.
     pub overlay: SessionOverlay,
-    /// Greedy warm-start counters (warm resumes vs reset fallbacks).
-    pub greedy_stats: GreedyWarmStats,
 }
 
 /// The tasks allowed to participate in a redistribution decision.
@@ -274,15 +272,6 @@ impl HeuristicCtx<'_> {
     }
 
     fn apply_bookkeeping(&mut self, plan: &Plan) {
-        if self.state.greedy_floors_ready() {
-            // Keep the persistent warm-start floor queue exact: every
-            // committed allocation change re-derives the moved task's key.
-            let floor = crate::incremental::greedy_floor_key(
-                self.calc.task_size(plan.task),
-                plan.sigma_new,
-            );
-            self.state.set_greedy_floor(plan.task, floor);
-        }
         let rc = self.calc.rc_cost(plan.task, plan.sigma_init, plan.sigma_new);
         let overhead =
             if plan.faulty { self.fault_overhead(plan.task, plan.sigma_init) } else { 0.0 };

@@ -257,32 +257,6 @@ impl<O: HeapOrder> LazyHeapCore<O> {
         None
     }
 
-    /// Returns the best present `(index, value)` whose value is *confirmed*
-    /// by `current`: for each candidate top entry, `current(idx)` re-derives
-    /// the authoritative value (`None` drops the index entirely); a
-    /// mismatching entry is repaired in place and the query continues.
-    ///
-    /// This is the primitive behind persistent queues keyed by values the
-    /// queue cannot observe changing (the greedy warm-start floor queue,
-    /// whose keys derive from `m_i/σ_i`): stale entries are repaired
-    /// lazily, one heap operation per externally-caused change, instead of
-    /// rebuilding the queue per query. `current` must be deterministic
-    /// within one call — a repaired index is trusted for the rest of the
-    /// query, which bounds the work at one repair per index.
-    pub fn peek_valid(
-        &mut self,
-        mut current: impl FnMut(usize) -> Option<f64>,
-    ) -> Option<(usize, f64)> {
-        loop {
-            let (idx, val) = self.peek()?;
-            match current(idx) {
-                None => self.remove(idx),
-                Some(truth) if truth == val => return Some((idx, val)),
-                Some(truth) => self.update(idx, truth),
-            }
-        }
-    }
-
     /// Returns the best `(index, value)` among present indices satisfying
     /// `pred`, for a decision *session* against a persistent queue.
     ///
@@ -646,27 +620,6 @@ mod tests {
             assert_eq!(small.peek_min(), scan);
             assert_eq!(big.peek_min(), scan);
         }
-    }
-
-    #[test]
-    fn peek_valid_repairs_stale_entries() {
-        // Keys derive from an external array; the queue only learns of
-        // changes at query time.
-        let mut truth: Vec<Option<f64>> = vec![Some(5.0), Some(2.0), Some(8.0)];
-        let mut h = heap_mode(LazyMinHeap::with_len(3));
-        for (i, v) in truth.iter().enumerate() {
-            h.update(i, v.unwrap());
-        }
-        assert_eq!(h.peek_valid(|i| truth[i]), Some((1, 2.0)));
-        // The min's true value rose and the old min index disappeared.
-        truth[1] = Some(9.0);
-        truth[0] = None;
-        assert_eq!(h.peek_valid(|i| truth[i]), Some((2, 8.0)));
-        // Repairs are persistent: a plain peek now agrees.
-        assert_eq!(h.peek_min(), Some((2, 8.0)));
-        truth[2] = None;
-        truth[1] = None;
-        assert_eq!(h.peek_valid(|i| truth[i]), None);
     }
 
     #[test]

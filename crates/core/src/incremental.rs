@@ -54,44 +54,6 @@ use crate::heap::StashEntry;
 /// arrive in decreasing `t^U`) without a single model evaluation.
 pub const RC_FLOOR_SAFETY: f64 = 0.999;
 
-/// Task `i`'s *shrink* floor key, `RC_FLOOR_SAFETY · m/σ` — the certified
-/// minimum redistribution cost of any move *below* a committed allocation
-/// of `σ` processors. Growth is NOT bounded by this floor (growing to
-/// `σ+q`, `q ≤ k`, can cost as little as `m/(σ+k)`); the warm-start
-/// certificate only needs the shrink direction, see `policies::greedy`.
-///
-/// One shared helper so the persistent floor queue
-/// (`PackState::set_greedy_floor`) and its lazy revalidation recompute
-/// bit-identical keys: the maintenance contract compares stored against
-/// recomputed values with `==`.
-#[must_use]
-pub fn greedy_floor(m: f64, sigma: u32) -> f64 {
-    RC_FLOOR_SAFETY * m / f64::from(sigma)
-}
-
-/// The floor-queue *derivation rule* shared by every maintenance site
-/// (initialization, committed plans, online admission grants): a task
-/// constrains the warm-start certificate only while it holds `σ ≥ 4` (a
-/// two-processor task has no shrink walk to certify). One helper so the
-/// sites cannot drift — the certificate's exactness contract compares
-/// stored against recomputed keys with bit equality.
-#[must_use]
-pub fn greedy_floor_key(m: f64, sigma: u32) -> Option<f64> {
-    (sigma >= 4).then(|| greedy_floor(m, sigma))
-}
-
-/// Warm-start bookkeeping of the greedy rebuild (Algorithm 5), persistent
-/// across a run in [`crate::ctx::PolicyScratch`]: how many live-view
-/// invocations resumed from the committed allocation versus fell back to
-/// the two-processor reset because the certificate failed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GreedyWarmStats {
-    /// Invocations that resumed from the previous (committed) allocation.
-    pub warm: u64,
-    /// Invocations that re-ran the from-scratch reset (certificate failed).
-    pub fallback: u64,
-}
-
 /// Epoch-invalidated persistent planning state: reset in O(1) at each
 /// decision event, with storage reused across the whole run.
 pub trait IncrementalState {

@@ -36,9 +36,7 @@ pub use ctx::{EligibleSet, HeuristicCtx, Plan, PlanEntry, PolicyScratch};
 pub use engine::{run, EngineConfig, FaultConfig, RunOutcome};
 pub use error::ScheduleError;
 pub use heap::{LazyMaxHeap, LazyMinHeap};
-pub use incremental::{
-    greedy_floor, greedy_floor_key, GreedyWarmStats, IncrementalState, SessionOverlay,
-};
+pub use incremental::{IncrementalState, SessionOverlay};
 pub use optimal::optimal_schedule;
 pub use policies::{
     greedy_rebuild, greedy_rebuild_warm, EndGreedy, EndGreedyWarm, EndLocal, EndPolicy,

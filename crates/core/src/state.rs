@@ -130,26 +130,6 @@ pub struct PackState {
     /// now the longest?" checks and seeds the incremental policies' head
     /// queries without a per-event rebuild.
     tails: LazyMaxHeap,
-    /// Persistent greedy warm-start keys: for every started active task
-    /// with `σ ≥ 4`, its shrink-floor `RC_FLOOR_SAFETY · m_i/σ_i` — the
-    /// provable minimum redistribution cost of moving the task off its
-    /// committed allocation. The queue minimum is the binding constraint of
-    /// the warm-start certificate (`policies::greedy`): when it exceeds the
-    /// pack's remaining horizon, Algorithm 5's two-processor reset provably
-    /// walks every participant back to its committed allocation, so the
-    /// rebuild may resume from it.
-    ///
-    /// Values derive from the task sizes the state cannot see, so the queue
-    /// is *caller-maintained*: the policy layer initializes it lazily
-    /// ([`PackState::greedy_floors_ready`]), every committed reallocation
-    /// refreshes the moved task's entry ([`PackState::set_greedy_floor`]),
-    /// and completions drop theirs ([`PackState::complete`]). Queries
-    /// revalidate entries lazily (`LazyHeapCore::peek_valid`), so a stale
-    /// *conservative* entry (completed task) costs one heap operation, and
-    /// the debug certificate asserts exactness against a full scan.
-    floors: LazyMinHeap,
-    /// Whether `floors` has been initialized by the policy layer.
-    floors_ready: bool,
 }
 
 /// Serializable view of a [`PackState`] — the stable snapshot encoding the
@@ -175,10 +155,6 @@ pub struct PackStateSnapshot {
     pub ends: Vec<f64>,
     /// Latest-finish queue values (same membership as `ends`).
     pub tails: Vec<f64>,
-    /// Greedy warm-start floor queue values (`NaN` = absent).
-    pub floors: Vec<f64>,
-    /// Whether the floor queue has been initialized by the policy layer.
-    pub floors_ready: bool,
 }
 
 impl PackState {
@@ -193,8 +169,6 @@ impl PackState {
             sigma_hi: self.sigma_hi,
             ends: (0..n).map(|i| self.ends.value(i)).collect(),
             tails: (0..n).map(|i| self.tails.value(i)).collect(),
-            floors: (0..n).map(|i| self.floors.value(i)).collect(),
-            floors_ready: self.floors_ready,
         }
     }
 
@@ -203,15 +177,12 @@ impl PackState {
     /// # Errors
     /// [`ScheduleError::CorruptSnapshot`] on inconsistent lengths, processor
     /// ids out of range or owned twice, completed tasks owning processors,
-    /// or queue membership contradicting the runtime records.
+    /// a `sigma_hi` below the largest allocation, or queue membership
+    /// contradicting the runtime records.
     pub fn from_snapshot(snap: &PackStateSnapshot) -> Result<Self, ScheduleError> {
         let n = snap.runtimes.len();
         let corrupt = |reason| Err(ScheduleError::CorruptSnapshot { reason });
-        if snap.task_procs.len() != n
-            || snap.ends.len() != n
-            || snap.tails.len() != n
-            || snap.floors.len() != n
-        {
+        if snap.task_procs.len() != n || snap.ends.len() != n || snap.tails.len() != n {
             return corrupt("per-task arrays disagree on the task count");
         }
         let p = snap.p as usize;
@@ -237,7 +208,6 @@ impl PackState {
         }
         let mut ends = LazyMinHeap::with_len(n);
         let mut tails = LazyMaxHeap::with_len(n);
-        let mut floors = LazyMinHeap::with_len(n);
         for i in 0..n {
             if snap.ends[i].is_nan() != snap.tails[i].is_nan() {
                 return corrupt("end/latest queues disagree on membership");
@@ -248,12 +218,6 @@ impl PackState {
                 }
                 ends.update(i, snap.ends[i]);
                 tails.update(i, snap.tails[i]);
-            }
-            if !snap.floors[i].is_nan() {
-                if !snap.floors_ready {
-                    return corrupt("floor entries present before initialization");
-                }
-                floors.update(i, snap.floors[i]);
             }
         }
         let active_ids: Vec<TaskId> = (0..n).filter(|&i| !snap.runtimes[i].done).collect();
@@ -267,8 +231,6 @@ impl PackState {
             sigma_hi: snap.sigma_hi,
             ends,
             tails,
-            floors,
-            floors_ready: snap.floors_ready,
         };
         if !state.check_invariants() {
             return corrupt("restored state fails the pack invariants");
@@ -290,7 +252,6 @@ impl PackState {
         self.active_ids.extend(old..n);
         self.ends.grow_len(n);
         self.tails.grow_len(n);
-        self.floors.grow_len(n);
     }
 
     /// Creates the state for `p` processors with the given initial
@@ -327,8 +288,6 @@ impl PackState {
             sigma_hi: sigmas.iter().copied().max().unwrap_or(0),
             ends: LazyMinHeap::with_len(sigmas.len()),
             tails: LazyMaxHeap::with_len(sigmas.len()),
-            floors: LazyMinHeap::with_len(sigmas.len()),
-            floors_ready: false,
         }
     }
 
@@ -487,46 +446,6 @@ impl PackState {
         self.active_ids.remove(pos);
         self.ends.remove(i);
         self.tails.remove(i);
-        self.floors.remove(i);
-    }
-
-    /// Whether the greedy warm-start floor queue has been initialized (the
-    /// policy layer does so lazily on its first warm-start certificate).
-    #[must_use]
-    pub fn greedy_floors_ready(&self) -> bool {
-        self.floors_ready
-    }
-
-    /// Sets (or clears, with `None`) task `i`'s greedy warm-start floor.
-    /// Must be called by whoever changes a started task's allocation while
-    /// the queue is ready: `Some(RC_FLOOR_SAFETY · m_i/σ_i)` for `σ ≥ 4`,
-    /// `None` below (a two-processor task has no shrink walk to certify).
-    ///
-    /// # Panics
-    /// Panics (debug) if a floor is set while the queue is not ready.
-    pub fn set_greedy_floor(&mut self, i: TaskId, floor: Option<f64>) {
-        debug_assert!(self.floors_ready, "greedy floor set before initialization");
-        match floor {
-            Some(v) => self.floors.update(i, v),
-            None => self.floors.remove(i),
-        }
-    }
-
-    /// Takes the greedy floor queue for a certificate query (the lazy
-    /// revalidation closure borrows the pack state read-only); hand it back
-    /// via [`PackState::put_greedy_floors`]. The first take marks the queue
-    /// ready — the caller must fully populate it before returning it.
-    #[must_use]
-    pub fn take_greedy_floors(&mut self) -> LazyMinHeap {
-        debug_assert_eq!(self.floors.len(), self.runtimes.len(), "floor queue already taken");
-        self.floors_ready = true;
-        std::mem::take(&mut self.floors)
-    }
-
-    /// Returns the floor queue taken by [`PackState::take_greedy_floors`].
-    pub fn put_greedy_floors(&mut self, q: LazyMinHeap) {
-        debug_assert_eq!(q.len(), self.runtimes.len(), "returning a foreign floor queue");
-        self.floors = q;
     }
 
     /// Iterates over the ids of tasks still running.
@@ -723,8 +642,8 @@ impl PackState {
             })
     }
 
-    /// Debug invariant: ownership tables are mutually consistent and
-    /// every allocation is even.
+    /// Debug invariant: ownership tables are mutually consistent, every
+    /// allocation is even, and none exceeds the `sigma_hi` high-water mark.
     #[must_use]
     pub fn check_invariants(&self) -> bool {
         let mut counted = 0usize;
@@ -732,7 +651,7 @@ impl PackState {
             if self.runtimes[i].done && !procs.is_empty() {
                 return false;
             }
-            if !procs.is_empty() && procs.len() % 2 != 0 {
+            if procs.len() % 2 != 0 || procs.len() as u32 > self.sigma_hi {
                 return false;
             }
             counted += procs.len();

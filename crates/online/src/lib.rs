@@ -25,8 +25,6 @@
 //! * [`swf`] — a minimal Standard Workload Format (Parallel Workloads
 //!   Archive) parser mapping real trace logs onto [`TraceArrivals`] job
 //!   streams;
-//! * [`engine`] — the legacy one-shot [`run_online`] entry point, kept as
-//!   a thin deprecated shim over the session;
 //! * [`metrics`] — online-specific metrics the static engine cannot
 //!   express: per-job stretch and flow time, queue length over time,
 //!   processor utilization, throughput.
@@ -69,7 +67,6 @@
 
 pub mod arrival;
 pub mod builder;
-pub mod engine;
 pub mod metrics;
 pub mod packset;
 pub mod session;
@@ -81,8 +78,6 @@ pub use arrival::{
     PoissonArrivals, TraceArrivals,
 };
 pub use builder::{OnlineConfig, OnlineStrategy, Scheduler};
-#[allow(deprecated)]
-pub use engine::run_online;
 pub use metrics::{JobStats, OnlineMetrics};
 pub use packset::{
     PackHandle, PackId, PackPartitioner, PackPhase, PackReport, PackSetSnapshot, PackSnapshot,

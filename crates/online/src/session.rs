@@ -10,7 +10,7 @@
 //! The event-processing code is the PR 3 engine verbatim — arrival
 //! admission with fair-share grants, completion redistribution, fault
 //! rollback — so a flat-FIFO session replays the exact decision sequence of
-//! the legacy `run_online` entry point: same job stream, same fault seed,
+//! the original one-shot online engine: same job stream, same fault seed,
 //! same strategy ⇒ byte-identical event logs. Multi-pack staging
 //! ([`PackStaging::Oversubscribed`](crate::PackStaging)) layers the
 //! `redistrib-packs` partitioning on top of the admission queue without
@@ -31,8 +31,7 @@ use crate::metrics::{JobStats, OnlineMetrics};
 use crate::packset::{PackHandle, PackId, PackReport, PackSetState, StagedPack};
 use crate::snapshot::SessionSnapshot;
 
-/// Result of one online run (returned by [`Session::run_to_completion`] and
-/// the legacy [`run_online`](crate::run_online) shim).
+/// Result of one online run (returned by [`Session::run_to_completion`]).
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
     /// Completion time of the last job.
@@ -861,13 +860,6 @@ impl Session {
     fn start_job(&mut self, i: TaskId, t: f64, waiting: usize) {
         let grant = self.admission_grant(i, waiting);
         self.state.grow(i, grant);
-        if self.state.greedy_floors_ready() {
-            // The admission grant changes an allocation outside the policy
-            // commit path: refresh the greedy warm-start floor queue (the
-            // certificate's exactness contract, see `core::policies::greedy`).
-            let floor = redistrib_core::greedy_floor_key(self.calc.task_size(i), grant);
-            self.state.set_greedy_floor(i, floor);
-        }
         let remaining = self.calc.remaining(i, grant, 1.0);
         let rt = self.state.runtime_mut(i);
         rt.alpha = 1.0;
@@ -915,7 +907,7 @@ impl Session {
         };
         match call {
             // The arrival rebalance follows the strategy's greedy flavor
-            // (exact certified dispatch, or the approximate warm resume),
+            // (the exact reset, or the approximate warm resume),
             // selected by the heuristic exactly like end/fault policies.
             PolicyCall::Rebuild => (self.strategy.heuristic.arrival_rebuild())(&mut ctx, None),
             PolicyCall::End => self.end_policy.on_task_end(&mut ctx),

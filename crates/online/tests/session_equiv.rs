@@ -1,13 +1,13 @@
 //! Equivalence suite for the PR 4 Session API.
 //!
-//! * the stepped single-pack `Session` must replay the legacy `run_online`
-//!   decision sequence byte for byte (event logs, makespan bits) — the
+//! * a single-pack `Session` stepped by hand must replay the one-shot
+//!   `Scheduler::run` drain byte for byte (event logs, makespan bits) — the
 //!   detprobe grid relies on it;
 //! * multi-pack staging must *conserve jobs*: every arrival completes
 //!   exactly once, packs never overlap, and drained-pack reports cover
 //!   exactly the staged jobs;
-//! * the offline `PackSession` must reproduce the legacy `run_partition`
-//!   outcomes pack for pack.
+//! * an offline `PackSession` stepped by hand must reproduce the one-shot
+//!   `PackRunner` drain pack for pack.
 
 use std::sync::Arc;
 
@@ -31,12 +31,11 @@ fn job_stream(seed: u64, n: usize, mean_gap: f64) -> Vec<JobSpec> {
     generate_jobs(&mut arrivals, n, &JobSizeModel::paper_default(), seed)
 }
 
-/// The single-pack session replays the legacy entry point byte for byte,
-/// across the same strategy × seed grid detprobe pins — including when the
-/// caller interleaves manual `step()`s with `run_to_completion()`.
+/// A session stepped by hand before draining replays the one-shot
+/// `Scheduler::run` byte for byte, across the same strategy × seed grid
+/// detprobe pins — mixing the two driving styles must not change anything.
 #[test]
-#[allow(deprecated)]
-fn session_matches_legacy_run_online_byte_for_byte() {
+fn stepped_session_matches_one_shot_run_byte_for_byte() {
     for seed in [1u64, 7, 42, 99] {
         for strategy in [
             OnlineStrategy::no_resize(),
@@ -46,15 +45,11 @@ fn session_matches_legacy_run_online_byte_for_byte() {
             let jobs = job_stream(seed, 12, 6_000.0);
             let platform = Platform::with_mtbf(24, units::years(5.0));
             let cfg = OnlineConfig::with_faults(seed ^ 0xBEEF, platform.proc_mtbf).recording();
-            let legacy =
-                redistrib_online::run_online(&jobs, speedup(), platform, &strategy, &cfg)
-                    .unwrap();
-
             let scheduler =
                 Scheduler::on(platform).speedup(speedup()).strategy(strategy).config(cfg);
+            let one_shot = scheduler.run(&jobs).unwrap();
+
             let mut session = scheduler.session(&jobs).unwrap();
-            // Step the first few events by hand before draining — mixing
-            // the two driving styles must not change anything.
             for _ in 0..5 {
                 if session.step().unwrap().is_none() {
                     break;
@@ -63,16 +58,16 @@ fn session_matches_legacy_run_online_byte_for_byte() {
             let stepped = session.run_to_completion().unwrap();
 
             assert_eq!(
-                legacy.trace.to_csv(),
+                one_shot.trace.to_csv(),
                 stepped.trace.to_csv(),
                 "event logs diverge (seed {seed}, {})",
                 strategy.name()
             );
-            assert_eq!(legacy.makespan.to_bits(), stepped.makespan.to_bits());
-            assert_eq!(legacy.handled_faults, stepped.handled_faults);
-            assert_eq!(legacy.discarded_faults, stepped.discarded_faults);
-            assert_eq!(legacy.redistributions, stepped.redistributions);
-            assert_eq!(legacy.queue_series, stepped.queue_series);
+            assert_eq!(one_shot.makespan.to_bits(), stepped.makespan.to_bits());
+            assert_eq!(one_shot.handled_faults, stepped.handled_faults);
+            assert_eq!(one_shot.discarded_faults, stepped.discarded_faults);
+            assert_eq!(one_shot.redistributions, stepped.redistributions);
+            assert_eq!(one_shot.queue_series, stepped.queue_series);
             assert!(stepped.packs.is_empty(), "flat-FIFO sessions never stage");
         }
     }
@@ -281,11 +276,11 @@ proptest! {
     }
 }
 
-/// The offline `PackSession` reproduces the legacy `run_partition`
-/// outcomes pack for pack (same derived seeds, same engine runs).
+/// An offline `PackSession` stepped by hand before draining reproduces the
+/// one-shot `PackRunner` drain pack for pack (same derived seeds, same
+/// engine runs).
 #[test]
-#[allow(deprecated)]
-fn pack_session_matches_legacy_run_partition() {
+fn stepped_pack_session_matches_one_shot_drain() {
     let workload = Workload::new(
         vec![
             TaskSpec::new(2.4e5),
@@ -304,18 +299,21 @@ fn pack_session_matches_legacy_run_partition() {
         (Heuristic::IteratedGreedyEndLocal, Some(9)),
         (Heuristic::ShortestTasksFirstEndLocal, Some(21)),
     ] {
-        let legacy =
-            redistrib_packs::run_partition(&workload, platform, &partition, h, seed).unwrap();
         let mut runner = redistrib_packs::PackRunner::new(workload.clone(), platform)
             .partition(partition.clone())
             .heuristic(h);
         if let Some(s) = seed {
             runner = runner.faults(s);
         }
-        let stepped = runner.session().run_to_completion().unwrap();
-        assert_eq!(legacy.makespan.to_bits(), stepped.makespan.to_bits());
-        assert_eq!(legacy.pack_outcomes.len(), stepped.pack_outcomes.len());
-        for (a, b) in legacy.pack_outcomes.iter().zip(&stepped.pack_outcomes) {
+        let one_shot = runner.clone().session().run_to_completion().unwrap();
+
+        let mut session = runner.session();
+        let first = session.step().unwrap().expect("the partition has a first pack");
+        let stepped = session.run_to_completion().unwrap();
+        assert_eq!(first.makespan.to_bits(), one_shot.pack_outcomes[0].makespan.to_bits());
+        assert_eq!(one_shot.makespan.to_bits(), stepped.makespan.to_bits());
+        assert_eq!(one_shot.pack_outcomes.len(), stepped.pack_outcomes.len());
+        for (a, b) in one_shot.pack_outcomes.iter().zip(&stepped.pack_outcomes) {
             assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
             assert_eq!(a.handled_faults, b.handled_faults);
             assert_eq!(a.redistributions, b.redistributions);

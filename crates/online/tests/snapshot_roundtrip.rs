@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use redistrib_core::Heuristic;
+use redistrib_core::{Heuristic, ScheduleError};
 use redistrib_model::{JobSpec, PaperModel, Platform, TaskSpec};
 use redistrib_online::{
     generate_jobs, JobSizeModel, OnlineConfig, OnlineStrategy, PackPartitioner, PackStaging,
@@ -173,4 +173,20 @@ fn submission_after_resume_matches_uninterrupted() {
     assert_eq!(resumed.trace.to_csv(), baseline.trace.to_csv());
     assert_eq!(resumed.makespan.to_bits(), baseline.makespan.to_bits());
     assert_eq!(resumed.jobs.len(), 6);
+}
+
+/// `sigma_hi` is the policies' upper bound on every allocation (EndLocal
+/// and STF prune on it), so a restored value below a held allocation would
+/// silently drop improving moves: resume must refuse it.
+#[test]
+fn resume_rejects_sigma_hi_below_an_allocation() {
+    let strategy = OnlineStrategy::resizing(Heuristic::IteratedGreedyEndLocal);
+    let mut session = build(3, 4, 32, strategy, false, true, false);
+    while session.snapshot().state.task_procs.iter().all(Vec::is_empty) {
+        session.step().unwrap();
+    }
+    let mut snap = session.snapshot();
+    snap.state.sigma_hi = 0;
+    let err = Session::resume(snap, Arc::new(PaperModel::default())).unwrap_err();
+    assert!(matches!(err, ScheduleError::CorruptSnapshot { .. }), "{err}");
 }

@@ -1,4 +1,6 @@
-//! Sequential execution of a pack partition on the resilient engine.
+//! Sequential execution of a pack partition on the resilient engine: the
+//! outcome type and per-pack fault seeds behind
+//! [`PackRunner`](crate::PackRunner).
 //!
 //! Packs run one after the other: pack `k + 1` starts when the last task of
 //! pack `k` completes. Each pack is executed by the Algorithm 2 engine with
@@ -7,12 +9,9 @@
 //! exponential law (memorylessness); for Weibull/log-normal extensions it
 //! is an approximation, noted here.
 
-use redistrib_core::{Heuristic, RunOutcome, ScheduleError};
-use redistrib_model::{ExecutionMode, Platform, Workload};
+use redistrib_core::RunOutcome;
+use redistrib_model::{Platform, Workload};
 use redistrib_sim::rng::SplitMix64;
-
-use crate::partition::PackPartition;
-use crate::session::PackRunner;
 
 /// Outcome of executing a full partition.
 #[derive(Debug, Clone)]
@@ -38,43 +37,11 @@ impl MultiPackOutcome {
 }
 
 /// Fault seed of pack `k`, derived from the partition-level `seed`: packs
-/// replay independent fault streams, and the derivation is shared by the
-/// legacy [`run_partition`] shim and the stepped
+/// replay independent fault streams in the stepped
 /// [`PackSession`](crate::PackSession).
 #[must_use]
 pub fn pack_seed(seed: u64, k: usize) -> u64 {
     SplitMix64::new(seed ^ (k as u64).wrapping_mul(0x517C_C1B7_2722_0A95)).next_u64()
-}
-
-/// Executes the packs of `partition` sequentially under `heuristic`.
-///
-/// `fault_seed = None` runs fault-free. Each pack `k` derives its own seed
-/// from `(fault_seed, k)` via [`pack_seed`].
-///
-/// # Errors
-/// Propagates engine errors (e.g. a pack that does not fit on `p`).
-///
-/// # Panics
-/// Panics if the partition does not cover the workload.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a stepped session instead: `PackRunner::new(workload, platform)\
-            .partition(..).heuristic(..).faults(..).session().run_to_completion()`"
-)]
-pub fn run_partition(
-    workload: &Workload,
-    platform: Platform,
-    partition: &PackPartition,
-    heuristic: Heuristic,
-    fault_seed: Option<u64>,
-) -> Result<MultiPackOutcome, ScheduleError> {
-    let mut runner = PackRunner::new(workload.clone(), platform)
-        .partition(partition.clone())
-        .heuristic(heuristic);
-    if let Some(seed) = fault_seed {
-        runner = runner.faults(seed);
-    }
-    runner.session().run_to_completion()
 }
 
 /// Convenience: true when the whole workload fits in one pack on `p`
@@ -84,23 +51,12 @@ pub fn fits_single_pack(workload: &Workload, platform: Platform) -> bool {
     2 * workload.len() as u64 <= u64::from(platform.num_procs)
 }
 
-/// Mode marker used by tests (unified: the builders expose the same
-/// marker through `PackRunner::execution_mode` and the online
-/// `Scheduler::execution_mode`).
-#[must_use]
-pub fn execution_mode(fault_seed: Option<u64>) -> ExecutionMode {
-    if fault_seed.is_some() {
-        ExecutionMode::FaultAware
-    } else {
-        ExecutionMode::FaultFree
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{chunk_by_capacity, dp_consecutive, single_pack};
-    use redistrib_core::{run, EngineConfig};
+    use crate::partition::{chunk_by_capacity, dp_consecutive, single_pack, PackPartition};
+    use crate::session::PackRunner;
+    use redistrib_core::{run, EngineConfig, Heuristic, ScheduleError};
     use redistrib_model::{PaperModel, TaskSpec, TimeCalc};
     use redistrib_sim::units;
     use std::sync::Arc;
@@ -116,7 +72,7 @@ mod tests {
         Platform::with_mtbf(p, units::years(5.0))
     }
 
-    /// The builder path the deprecated `run_partition` shim forwards to.
+    /// Runs `part` through the stepped pack session.
     fn run_packs(
         w: &Workload,
         plat: Platform,
@@ -178,8 +134,6 @@ mod tests {
         let out = run_packs(&w, platform(4), &part, Heuristic::EndLocalOnly, None).unwrap();
         assert!(out.makespan > 0.0);
         assert_eq!(out.handled_faults(), 0);
-        assert_eq!(execution_mode(None), ExecutionMode::FaultFree);
-        assert_eq!(execution_mode(Some(1)), ExecutionMode::FaultAware);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! engine and reports a [`PackEvent`], with live inspection of the pack
 //! cursor in between. [`run_to_completion`](PackSession::run_to_completion)
 //! drains the remaining packs into the familiar
-//! [`MultiPackOutcome`]. The legacy
-//! [`run_partition`](crate::run_partition) free function is a thin
-//! deprecated shim over this session.
+//! [`MultiPackOutcome`].
 
 use redistrib_core::{run, EngineConfig, Heuristic, ScheduleError};
 use redistrib_model::{ExecutionMode, Platform, TaskId, TimeCalc, Workload};

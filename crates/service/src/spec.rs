@@ -377,13 +377,12 @@ impl SessionSpec {
         // Reject unknown keys outright: a typoed or misplaced option
         // (say, nesting everything under "config") would otherwise be
         // silently ignored and the session would run misconfigured.
-        const KNOWN: [&str; 9] = [
+        const KNOWN: [&str; 8] = [
             "platform",
             "speedup",
             "strategy",
             "faults",
             "record_trace",
-            "reference_policies",
             "max_events",
             "staging",
             "jobs",
@@ -463,9 +462,6 @@ impl SessionSpec {
         if let Some(b) = v.get("record_trace") {
             config.record_trace = boolean(b, "'record_trace'")?;
         }
-        if let Some(b) = v.get("reference_policies") {
-            config.reference_policies = boolean(b, "'reference_policies'")?;
-        }
         if let Some(m) = v.get("max_events").filter(|v| !v.is_null()) {
             config.max_events = uint(m, "'max_events'")?;
         }
@@ -500,8 +496,12 @@ impl SessionSpec {
 // Snapshot documents.
 // ---------------------------------------------------------------------
 
-/// Version tag of the snapshot document format.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Version tag of the snapshot document format written by
+/// [`snapshot_to_json`]. [`snapshot_from_json`] also reads version 1,
+/// which differs only in fields version 2 dropped: the pack state's
+/// `floors`/`floors_ready` (ignored — nothing reads them) and the config's
+/// `reference_policies` (accepted only when `false`).
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 fn runtime_to_json(rt: &TaskRuntime) -> Json {
     Json::Arr(vec![
@@ -568,8 +568,6 @@ fn state_to_json(s: &PackStateSnapshot) -> Json {
         ("sigma_hi", Json::Int(i128::from(s.sigma_hi))),
         ("ends", f64s_to_json(&s.ends)),
         ("tails", f64s_to_json(&s.tails)),
-        ("floors", f64s_to_json(&s.floors)),
-        ("floors_ready", Json::Bool(s.floors_ready)),
     ])
 }
 
@@ -607,8 +605,6 @@ fn state_from_json(v: &Json) -> Result<PackStateSnapshot, ApiError> {
             .ok_or_else(|| ApiError::bad_request("'sigma_hi' must be an integer"))?,
         ends: f64s_from_json(field(v, "ends")?, "'ends'")?,
         tails: f64s_from_json(field(v, "tails")?, "'tails'")?,
-        floors: f64s_from_json(field(v, "floors")?, "'floors'")?,
-        floors_ready: boolean(field(v, "floors_ready")?, "'floors_ready'")?,
     })
 }
 
@@ -792,8 +788,15 @@ fn staging_snapshot_from_json(v: &Json) -> Result<PackSetSnapshot, ApiError> {
 
 /// Encodes a session snapshot (plus the speedup spec the online crate
 /// cannot carry) as a stable, self-contained JSON document.
+///
+/// The document does not carry the library-only `reference_policies`
+/// test switch: service sessions never set it.
 #[must_use]
 pub fn snapshot_to_json(snap: &SessionSnapshot, speedup: &SpeedupSpec) -> Json {
+    debug_assert!(
+        !snap.config.reference_policies,
+        "reference-policy sessions are not encodable"
+    );
     obj(vec![
         ("version", Json::Int(i128::from(SNAPSHOT_VERSION))),
         ("speedup", speedup.to_json()),
@@ -825,7 +828,6 @@ pub fn snapshot_to_json(snap: &SessionSnapshot, speedup: &SpeedupSpec) -> Json {
                     }),
                 ),
                 ("record_trace", Json::Bool(snap.config.record_trace)),
-                ("reference_policies", Json::Bool(snap.config.reference_policies)),
                 ("max_events", Json::Int(i128::from(snap.config.max_events))),
             ]),
         ),
@@ -881,9 +883,9 @@ pub fn snapshot_to_json(snap: &SessionSnapshot, speedup: &SpeedupSpec) -> Json {
 /// [`Session::resume`](redistrib_online::Session::resume).
 pub fn snapshot_from_json(v: &Json) -> Result<(SessionSnapshot, SpeedupSpec), ApiError> {
     let version = uint(field(v, "version")?, "'version'")?;
-    if version != SNAPSHOT_VERSION {
+    if !(1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(ApiError::bad_request(format!(
-            "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
+            "unsupported snapshot version {version} (expected 1 to {SNAPSHOT_VERSION})"
         )));
     }
     let speedup = SpeedupSpec::from_json(v.get("speedup"))?;
@@ -912,10 +914,20 @@ pub fn snapshot_from_json(v: &Json) -> Result<(SessionSnapshot, SpeedupSpec), Ap
         }),
         None => None,
     };
+    // Version 1 documents carry the `reference_policies` test switch. A
+    // session that ran under it cannot continue without it (`WarmGreedy`
+    // decides differently), so such a document is refused, not downgraded.
+    if let Some(r) = cv.get("reference_policies") {
+        if boolean(r, "'reference_policies'")? {
+            return Err(ApiError::bad_request(
+                "'reference_policies' sessions cannot be restored by the service",
+            ));
+        }
+    }
     let config = OnlineConfig {
         faults,
         record_trace: boolean(field(cv, "record_trace")?, "'record_trace'")?,
-        reference_policies: boolean(field(cv, "reference_policies")?, "'reference_policies'")?,
+        reference_policies: false,
         max_events: uint(field(cv, "max_events")?, "'max_events'")?,
     };
     let jobs = field(v, "jobs")?
@@ -1036,6 +1048,10 @@ mod tests {
             (r#","speedup":{"model":"cuda"}"#, "unknown speedup model"),
             (r#","staging":{"mode":"oversubscribed","partitioner":"magic"}"#, "partitioner"),
             (r#","faults":{"seed":-1}"#, "seed"),
+            (
+                r#","reference_policies":true"#,
+                "unknown session spec field 'reference_policies'",
+            ),
         ] {
             let err = SessionSpec::from_json(&spec_json(extra)).unwrap_err();
             assert_eq!(err.status, 400);
