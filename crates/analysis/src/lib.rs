@@ -61,6 +61,11 @@ pub const RULES: &[(&str, &str)] = &[
         "TcpStream::connect/connect_timeout are banned in router.rs and supervisor.rs — the data \
          plane dials backends only through the pool.rs connection pool",
     ),
+    (
+        "no-sleep-in-service",
+        "thread::sleep is banned in crates/service/src — a serving thread blocks on a socket or a \
+         channel, so a stop wakes it at once",
+    ),
 ];
 
 /// One lint finding, displayed as `file:line rule message`.
@@ -565,6 +570,30 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
                             ),
                         });
                     }
+                }
+            }
+        }
+    }
+
+    if in_service_src(path) {
+        // `thread::sleep(`.
+        for seg in &segs {
+            for w in seg.windows(5) {
+                if punct(&w[1], ':')
+                    && punct(&w[2], ':')
+                    && punct(&w[4], '(')
+                    && ident_in(&w[0], &["thread"]).is_some()
+                    && ident_in(&w[3], &["sleep"]).is_some()
+                {
+                    out.push(Violation {
+                        file: norm(path),
+                        line: w[0].line,
+                        rule: "no-sleep-in-service",
+                        message: "`thread::sleep` in the service crate — block on a socket or \
+                                  a channel (`recv_timeout`) so a stop wakes the thread at once; \
+                                  a deliberate wait carries its reason in a `lint:allow`"
+                            .to_string(),
+                    });
                 }
             }
         }

@@ -85,6 +85,11 @@ fn fixture_raw_connect_in_router() {
 }
 
 #[test]
+fn fixture_sleep_in_service() {
+    assert_one_violation("sleep.rs", "crates/service/src/fixture.rs", 6, "no-sleep-in-service");
+}
+
+#[test]
 fn fixture_suppressed_is_clean() {
     let out = run_lint(&[
         "--file",
@@ -116,6 +121,7 @@ fn list_prints_every_rule() {
         "no-wallclock-in-sim",
         "no-float-format-in-json",
         "no-raw-connect-in-router",
+        "no-sleep-in-service",
     ] {
         assert!(stdout.contains(rule), "--list must mention {rule}");
     }

@@ -156,6 +156,7 @@ fn main() -> ExitCode {
         report.quarantined.len()
     );
     while !host.is_draining() {
+        // lint:allow(no-sleep-in-service) the drain flag has no blocking wait
         std::thread::sleep(Duration::from_millis(50));
     }
     host.join();

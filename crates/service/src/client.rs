@@ -384,6 +384,7 @@ impl Client {
                     }
                     let hint = outcome.as_ref().ok().and_then(|ans| ans.retry_after);
                     let delay = self.backoff_delay(attempt, hint);
+                    // lint:allow(no-sleep-in-service) the retry backoff is the point
                     std::thread::sleep(delay);
                     attempt += 1;
                 }

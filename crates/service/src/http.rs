@@ -19,11 +19,17 @@
 //!   backlog ([`HttpConfig::backlog`]) is full, new connections get an
 //!   immediate `503` with `Retry-After` instead of waiting forever;
 //! * **graceful drain** — a shared drain flag stops the acceptor,
-//!   in-flight requests finish (their responses close the connection),
-//!   and [`HttpServer::join`] returns once the pool is empty.
+//!   in-flight requests finish (their responses close the connection,
+//!   the response to the request that set the flag included), and
+//!   [`HttpServer::join`] returns once the pool is empty.
+//!
+//! The acceptor blocks in `accept` and re-reads the stop and drain flags
+//! after every accept; [`HttpServer::shutdown`] and [`HttpServer::join`]
+//! wake it with one throwaway loopback connection, so neither a stop nor
+//! a new connection waits on a poll interval.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
@@ -33,9 +39,6 @@ use std::time::Duration;
 use crate::json::Json;
 use crate::spec::ApiError;
 use crate::sync::{rank, OrderedMutex};
-
-/// How often the (non-blocking) acceptor polls for stop/drain.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Connection-lifecycle and parser limits of the HTTP server.
 #[derive(Debug, Clone)]
@@ -258,6 +261,8 @@ impl ReadError {
     }
 }
 
+/// Whether a socket read deadline expired: Unix reports it as
+/// `WouldBlock`, Windows as `TimedOut`.
 fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
@@ -438,10 +443,13 @@ where
         let (resp, keep) = match read_request(&mut reader, cfg, Some(stream)) {
             Ok(req) => {
                 served += 1;
+                let resp = handler(&req);
+                // Read the drain flag after the handler: the request that
+                // set it (`POST /v1/admin/drain`) must close too.
                 let keep = !req.close
                     && served < cfg.max_requests_per_conn
                     && !closing.load(Ordering::Relaxed);
-                (handler(&req), keep)
+                (resp, keep)
             }
             Err(e) => match e.response() {
                 Some(resp) => (resp, false),
@@ -512,6 +520,21 @@ fn shed(stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// Wakes an acceptor blocked in `accept` with one throwaway connection
+/// to its bound port, so it re-reads the stop and drain flags. An
+/// unspecified bind address (`0.0.0.0`, `[::]`) is dialled on the
+/// loopback address of its family. The result is ignored: a refused
+/// connect means the acceptor has already exited.
+fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
+
 /// A running HTTP server: an acceptor thread plus a worker pool.
 ///
 /// Two ways down: [`HttpServer::shutdown`] stops accepting immediately
@@ -542,9 +565,10 @@ impl HttpServer {
 
     /// Binds `addr` with explicit limits. `drain` is a shared flag the
     /// owner (or a request handler) may set to initiate a graceful
-    /// drain: the acceptor exits, workers finish queued connections
-    /// (responses carry `Connection: close`), and [`HttpServer::join`]
-    /// returns once the pool is idle.
+    /// drain: connections accepted from then on are dropped, workers
+    /// finish queued connections (responses carry `Connection: close`),
+    /// and [`HttpServer::join`] wakes the acceptor and returns once the
+    /// pool is idle.
     ///
     /// # Errors
     /// Propagates the bind failure.
@@ -559,8 +583,6 @@ impl HttpServer {
     {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Non-blocking accept so the acceptor can poll stop/drain flags.
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let workers = cfg.workers.max(1);
 
@@ -607,29 +629,26 @@ impl HttpServer {
         let stop_accept = Arc::clone(&stop);
         let drain_accept = Arc::clone(&drain);
         threads.push(std::thread::spawn(move || {
-            // `tx` moves in here; dropping it on exit stops the workers
-            // once the queue is drained.
+            // `tx` and `listener` move in here; dropping them on exit
+            // stops the workers once the queue is drained and refuses
+            // new connections.
             loop {
+                let accepted = listener.accept();
+                // Whatever woke the acceptor after stop or drain (the
+                // wake connection of `join`, or a late client) is dropped
+                // unserved, as a closed listener would have refused it.
                 if stop_accept.load(Ordering::SeqCst) || drain_accept.load(Ordering::SeqCst) {
                     break;
                 }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        // Responses are written head-then-body; nodelay
-                        // keeps Nagle from stalling the body behind the
-                        // client's delayed ACK.
-                        let _ = stream.set_nodelay(true);
-                        match tx.try_send(stream) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(stream)) => shed(&stream),
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => continue,
+                let Ok((stream, _)) = accepted else { continue };
+                // Responses are written head-then-body; nodelay keeps
+                // Nagle from stalling the body behind the client's
+                // delayed ACK.
+                let _ = stream.set_nodelay(true);
+                match tx.try_send(stream) {
+                    Ok(()) => {}
+                    Err(TrySendError::Full(stream)) => shed(&stream),
+                    Err(TrySendError::Disconnected(_)) => break,
                 }
             }
         }));
@@ -644,9 +663,14 @@ impl HttpServer {
     }
 
     /// Waits for the server to wind down on its own — meaningful after
-    /// the drain flag passed to [`HttpServer::bind_with`] has been set.
-    /// In-flight and queued requests finish first.
+    /// the drain flag passed to [`HttpServer::bind_with`] has been set,
+    /// since the acceptor is woken once, here, to see it. In-flight and
+    /// queued requests finish first.
     pub fn join(&mut self) {
+        if self.threads.is_empty() {
+            return;
+        }
+        wake_acceptor(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -674,6 +698,7 @@ impl Drop for HttpServer {
 mod tests {
     use super::*;
     use crate::client;
+    use std::net::IpAddr;
 
     #[test]
     fn serves_requests_and_shuts_down() {
@@ -762,6 +787,49 @@ mod tests {
             match s.read(&mut buf) {
                 Ok(0) | Err(_) => {}
                 Ok(n) => panic!("severed connection still delivered {n} bytes"),
+            }
+        }
+    }
+
+    /// Binds `bind` (an unspecified address), serves one request through
+    /// `loopback`, then stops the server — with `shutdown()`, or with the
+    /// drain flag set and `join()` — and checks that it returned promptly
+    /// and that the port now refuses connections.
+    fn stop_unspecified_bind(bind: &str, loopback: IpAddr, drain: bool) {
+        let flag = Arc::new(AtomicBool::new(false));
+        let cfg = HttpConfig { workers: 1, ..HttpConfig::default() };
+        let mut server =
+            HttpServer::bind_with(bind, cfg, Arc::clone(&flag), |_| Response::text(200, "ok"))
+                .unwrap();
+        assert!(server.addr().ip().is_unspecified());
+        let dial = SocketAddr::new(loopback, server.addr().port());
+        assert_eq!(client::get(dial, "/x").unwrap(), (200, "ok".to_string()));
+        let t0 = std::time::Instant::now();
+        if drain {
+            flag.store(true, Ordering::SeqCst);
+            server.join();
+        } else {
+            server.shutdown();
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "stopping {bind} took {:?}",
+            t0.elapsed()
+        );
+        assert!(TcpStream::connect(dial).is_err(), "{bind} still accepts after stopping");
+    }
+
+    #[test]
+    fn wake_reaches_an_acceptor_bound_to_an_unspecified_address() {
+        // IPv6 may be missing on the host: cover `[::]` where a listener
+        // there is reachable through `[::1]`.
+        let v6 = TcpListener::bind("[::]:0")
+            .and_then(|l| TcpStream::connect((Ipv6Addr::LOCALHOST, l.local_addr()?.port())))
+            .is_ok();
+        for drain in [false, true] {
+            stop_unspecified_bind("0.0.0.0:0", Ipv4Addr::LOCALHOST.into(), drain);
+            if v6 {
+                stop_unspecified_bind("[::]:0", Ipv6Addr::LOCALHOST.into(), drain);
             }
         }
     }

@@ -38,6 +38,7 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -463,8 +464,8 @@ pub fn handle_router(state: &RouterState, req: &Request) -> Response {
 pub struct Router {
     server: HttpServer,
     state: RouterState,
-    probe: Option<JoinHandle<()>>,
-    probe_stop: Arc<AtomicBool>,
+    /// The probe thread and the sender whose drop stops it.
+    probe: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl Router {
@@ -494,8 +495,8 @@ impl Router {
     }
 
     fn stop_probe(&mut self) {
-        self.probe_stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.probe.take() {
+        if let Some((stop, t)) = self.probe.take() {
+            drop(stop);
             let _ = t.join();
         }
     }
@@ -545,20 +546,82 @@ pub fn serve_router(
         handle_router(&routed, req)
     })?;
 
-    let probe_stop = Arc::new(AtomicBool::new(false));
+    // The probe thread ticks on a stop channel, so dropping the sender
+    // (`Router::stop_probe`) stops it at once instead of after a tick.
+    let (stop, stopped) = mpsc::channel::<()>();
     let probe = {
-        let stop = Arc::clone(&probe_stop);
         let sup = Arc::clone(&supervisor);
         let drain = state.drain_flag();
         let interval = supervisor.probe_interval();
         std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) && !drain.load(Ordering::SeqCst) {
+            while !drain.load(Ordering::SeqCst) {
                 sup.tick();
                 sup.pool().reap_idle();
-                std::thread::sleep(interval);
+                if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                    break;
+                }
             }
         })
     };
 
-    Ok(Router { server, state, probe: Some(probe), probe_stop })
+    Ok(Router { server, state, probe: Some((stop, probe)) })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+    use crate::supervisor::InProcessLauncher;
+    use std::path::PathBuf;
+
+    /// A router over two in-process backends whose probe thread waits
+    /// 30 s between ticks, far longer than any test may take.
+    fn boot(tag: &str) -> (Router, PathBuf) {
+        let root =
+            std::env::temp_dir().join(format!("redistrib-router-{tag}-{}", std::process::id()));
+        let specs = ["b0", "b1"]
+            .iter()
+            .map(|name| BackendSpec { name: (*name).into(), archive_dir: root.join(name) })
+            .collect();
+        let mut cfg = RouterConfig::default();
+        cfg.supervisor.probe_interval = Duration::from_secs(30);
+        let router =
+            serve_router("127.0.0.1:0", cfg, Box::new(InProcessLauncher { workers: 2 }), specs)
+                .unwrap();
+        (router, root)
+    }
+
+    #[test]
+    fn drain_and_join_do_not_wait_out_idle_pool_connections() {
+        let (mut router, root) = boot("drain");
+        // The creates leave idle pooled connections to their backends.
+        for _ in 0..4 {
+            let (status, body) = client::post(
+                router.addr(),
+                "/v1/sessions",
+                r#"{"platform":{"procs":8},"jobs":[{"size":4000}]}"#,
+            )
+            .unwrap();
+            assert_eq!(status, 201, "{body}");
+        }
+        let t0 = Instant::now();
+        router.drain();
+        router.join();
+        let idle = HttpConfig::default().idle_timeout;
+        assert!(t0.elapsed() < idle, "drain took {:?}, idle timeout is {idle:?}", t0.elapsed());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_probe_interval() {
+        let (mut router, root) = boot("shutdown");
+        let t0 = Instant::now();
+        router.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "Router::shutdown took {:?} with a 30 s probe interval",
+            t0.elapsed()
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

@@ -50,6 +50,7 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -548,8 +549,8 @@ const QUARANTINE_AGE: Duration = Duration::from_secs(24 * 3600);
 pub struct ServiceHost {
     server: HttpServer,
     state: ServiceState,
-    sweeper: Option<JoinHandle<()>>,
-    sweeper_stop: Arc<AtomicBool>,
+    /// The sweeper thread and the sender whose drop stops it.
+    sweeper: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl ServiceHost {
@@ -579,8 +580,8 @@ impl ServiceHost {
     }
 
     fn stop_sweeper(&mut self) {
-        self.sweeper_stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.sweeper.take() {
+        if let Some((stop, t)) = self.sweeper.take() {
+            drop(stop);
             let _ = t.join();
         }
     }
@@ -650,15 +651,14 @@ pub fn serve_with(
     })?;
 
     // Background sweeper: idle-TTL eviction plus periodic checkpoints.
-    let sweeper_stop = Arc::new(AtomicBool::new(false));
+    // It ticks on a stop channel, so dropping the sender stops it at once.
     let sweeper = if ttl_sweeps || checkpoint_interval.is_some() || compact_interval.is_some() {
-        let stop = Arc::clone(&sweeper_stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let swept = Arc::clone(&store);
-        Some(std::thread::spawn(move || {
+        let thread = std::thread::spawn(move || {
             let mut last_checkpoint = Instant::now();
             let mut last_compact = Instant::now();
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(SWEEP_TICK);
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(SWEEP_TICK) {
                 if ttl_sweeps {
                     let _ = swept.evict_idle();
                 }
@@ -675,11 +675,12 @@ pub fn serve_with(
                     }
                 }
             }
-        }))
+        });
+        Some((stop, thread))
     } else {
         None
     };
 
-    let host = ServiceHost { server, state, sweeper, sweeper_stop };
+    let host = ServiceHost { server, state, sweeper };
     Ok((host, store, report))
 }

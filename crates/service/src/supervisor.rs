@@ -152,6 +152,7 @@ impl BackendLauncher for ProcessLauncher {
                     spec.name, self.spawn_budget
                 )));
             }
+            // lint:allow(no-sleep-in-service) std cannot block until a file appears
             std::thread::sleep(Duration::from_millis(10));
         }
     }
@@ -179,6 +180,7 @@ impl BackendHandle for ProcessHandle {
             match self.child.try_wait() {
                 Ok(Some(_)) => return true,
                 Ok(None) if Instant::now() < deadline => {
+                    // lint:allow(no-sleep-in-service) std's Child has no timed wait
                     std::thread::sleep(Duration::from_millis(10));
                 }
                 _ => return false,
@@ -595,7 +597,7 @@ impl Supervisor {
         self.next_id.fetch_max(max_id, Ordering::SeqCst);
     }
 
-    /// The configured probe interval (the router's probe thread sleeps
+    /// The configured probe interval (the router's probe thread waits
     /// this long between [`Supervisor::tick`]s).
     #[must_use]
     pub fn probe_interval(&self) -> Duration {
@@ -742,6 +744,7 @@ impl Supervisor {
             if Instant::now() >= deadline {
                 return false;
             }
+            // lint:allow(no-sleep-in-service) spaces probes of a backend not yet up
             std::thread::sleep(Duration::from_millis(10));
         }
     }
@@ -910,12 +913,18 @@ impl Supervisor {
         {
             return Err(ApiError::conflict(format!("backend {name} is not active")));
         }
-        let drained = b.addr().is_some_and(|addr| {
+        let addr = b.addr();
+        let drained = addr.is_some_and(|addr| {
             self.pool
                 .request(addr, "POST", "/v1/admin/drain", Some("{}"), self.cfg.drain_budget)
                 .map(|ans| ans.status == 200)
                 .unwrap_or(false)
         });
+        // Close the pool's idle connections first: the draining backend's
+        // workers would otherwise wait out their idle deadlines on them.
+        if let Some(addr) = addr {
+            self.pool.flush(addr);
+        }
         {
             let mut handle = b.handle.lock_recover();
             if let Some(h) = handle.as_mut() {
@@ -1005,6 +1014,11 @@ impl Supervisor {
     /// checkpoint stands).
     pub fn reap_all(&self) {
         for b in &self.backends {
+            // As in `retire`: idle pooled connections would hold the
+            // backend's workers until their idle deadlines.
+            if let Some(addr) = b.addr() {
+                self.pool.flush(addr);
+            }
             let mut handle = b.handle.lock_recover();
             if let Some(h) = handle.as_mut() {
                 if !h.wait_exit(self.cfg.drain_budget) {
@@ -1194,7 +1208,16 @@ mod tests {
             ids.push(id);
         }
         let victim = sup.route(ids[0]).unwrap().0;
+        // Neither the drain's connection nor the pool's idle ones may keep
+        // the retiring backend's workers waiting out the idle deadline.
+        let t0 = Instant::now();
         let outcome = sup.retire(&victim).unwrap();
+        let idle = HttpConfig::default().idle_timeout;
+        assert!(
+            t0.elapsed() < idle,
+            "retire took {:?}, idle timeout is {idle:?}",
+            t0.elapsed()
+        );
         assert!(outcome.drained);
         assert!(outcome.report.lost.is_empty(), "drain checkpoints everything");
         assert_eq!(sup.backend(&victim).unwrap().phase(), Phase::Dead);

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use redistrib_service::{
-    client, serve, serve_with, FaultPlan, Json, ServiceConfig, SessionSpec, SnapshotArchive,
-    StoreConfig,
+    client, serve, serve_with, FaultPlan, HttpConfig, Json, ServiceConfig, SessionSpec,
+    SnapshotArchive, StoreConfig,
 };
 
 const SPEC: &str = r#"{
@@ -324,8 +324,13 @@ fn drain_endpoint_checkpoints_stops_accepting_and_restart_recovers() {
     assert_eq!(doc.get("checkpointed").and_then(Json::as_u64), Some(1));
     assert!(host.is_draining());
 
-    // The drain finishes in-flight work and closes the pool.
+    // The drain finishes in-flight work and closes the pool. The drain
+    // response closed the client's keep-alive connection, so no worker
+    // waits out its idle deadline on it.
+    let t0 = Instant::now();
     host.join();
+    let idle = HttpConfig::default().idle_timeout;
+    assert!(t0.elapsed() < idle, "join waited {:?}, idle timeout is {idle:?}", t0.elapsed());
     assert!(
         client::get(addr, "/healthz").is_err(),
         "a drained server must not accept new connections"
