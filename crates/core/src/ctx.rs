@@ -52,9 +52,9 @@ pub struct PolicyScratch {
 /// (`Live`), so an event only pays for the tasks its decision actually
 /// touches. Both views contain exactly the same tasks in ascending-id
 /// order: active, started, outside any previous redistribution window
-/// (`tlastR_i ≤ now`), not the skipped (faulty) task, and — the online
-/// engine's fault path — not finishing before `min_t_u` (the recovery
-/// anchor; the static engine has already completed those).
+/// (`tlastR_i ≤ now`), not the skipped (faulty) task, and — at a fault —
+/// not finishing before `min_t_u`, the recovery anchor (see
+/// [`crate::engine::WindowEnds`]).
 #[derive(Debug, Clone, Copy)]
 pub enum EligibleSet<'a> {
     /// Explicit ascending-id task list (tests, reference replays).
@@ -78,8 +78,8 @@ impl EligibleSet<'static> {
     }
 
     /// Live view for a fault decision point: the faulty task is handled
-    /// separately by the policy, and (online engine) tasks finishing
-    /// before `min_t_u` are out.
+    /// separately by the policy, and tasks finishing before `min_t_u` are
+    /// out.
     #[must_use]
     pub fn live_fault(faulty: TaskId, min_t_u: f64) -> Self {
         EligibleSet::Live { skip: Some(faulty), min_t_u }
@@ -122,7 +122,7 @@ pub struct HeuristicCtx<'a> {
     pub scratch: &'a mut PolicyScratch,
     /// Ablation flag: when true, the faulty task's candidate finish times
     /// omit downtime + recovery, as in the literal pseudocode of
-    /// Algorithms 4–5 (see DESIGN.md). Default false (follow §3.3.2 text).
+    /// Algorithms 4–5. Default false (follow §3.3.2 text).
     pub pseudocode_fault_bias: bool,
     /// Counter of committed reallocations (one per task whose σ changed).
     pub redistributions: &'a mut u64,

@@ -12,8 +12,46 @@
 //!    checkpoint, pays downtime + recovery, and — if it became the longest
 //!    task — the fault policy may redistribute processors toward it.
 //!
-//! See DESIGN.md ("Event-loop semantics") for how the paper's pseudocode
-//! ambiguities are resolved; every resolution is flagged in the code below.
+//! # One kernel, two drivers
+//!
+//! The event steps live in [`Kernel`], driven both by [`run`] (this static
+//! engine) and by the online co-scheduler's session in `redistrib-online`:
+//! [`Kernel::complete`] at a task end, [`Kernel::decide`] for an end-time
+//! or arrival policy call, [`Kernel::fault`] at a processor fault. A driver
+//! keeps only its event loop (and, online, admission), so the two engines
+//! cannot drift apart.
+//!
+//! # Pseudocode resolutions
+//!
+//! Where the paper's pseudocode leaves the event loop open, both engines
+//! resolve it the same way:
+//!
+//! * **End-before-fault ties.** A task end and a fault at the same instant
+//!   process the end first, so the released processors are idle when the
+//!   fault strikes. The online engine orders completion, then arrival, then
+//!   fault.
+//! * **Protected-window discard.** A fault on an idle processor, or on a
+//!   task whose anchor `tlastR_i` is still ahead (downtime, recovery or a
+//!   redistribution in progress), is discarded: §6.1 lets no failure strike
+//!   there.
+//! * **Fatal-risk counting.** A discarded fault inside the struck task's
+//!   post-fault recovery window counts as a fatal-risk event, the §2.2
+//!   double-checkpointing exposure. The paper's simulations do not make it
+//!   fatal, and neither do we. A discard inside a later redistribution
+//!   window is no such risk.
+//! * **The is-longest gate.** The fault policy runs only if the rolled-back
+//!   task is now the longest (Algorithm 2 line 30); a tie counts as longest.
+//! * **Window ends.** Tasks whose `t^U` falls inside the faulty task's
+//!   recovery window `[t, t + D + R)` never donate to it. What else happens
+//!   to them is the one intended difference between the drivers,
+//!   [`WindowEnds`]: the static engine completes them at the fault
+//!   (Algorithm 2 line 28), the online engine leaves them to their own end
+//!   events.
+//! * **Pseudocode bias.** Algorithms 4–5 as printed omit downtime + recovery
+//!   from the faulty task's candidate finish times, which biases decisions
+//!   toward redistribution. The §3.3.2 text includes them and is the
+//!   default; [`EngineConfig::pseudocode_fault_bias`] reproduces the
+//!   printed pseudocode as an ablation.
 
 use redistrib_model::{ExecutionMode, TaskId, TimeCalc};
 use redistrib_sim::dist::FaultLaw;
@@ -137,183 +175,267 @@ pub fn run(
         "fault injection requires a fault-aware calculator"
     );
     let p = calc.platform().num_procs;
-    let n = calc.num_tasks();
-
     let sigma = optimal_schedule(calc, p)?;
     let mut state = PackState::new(p, &sigma);
     for (i, &s) in sigma.iter().enumerate() {
         state.set_t_u(i, calc.remaining(i, s, 1.0));
     }
-
-    let mut faults: Option<FaultSource> =
-        cfg.faults.map(|fc| FaultSource::new(fc.seed, p, fc.law));
-    let mut trace = if cfg.record_trace { TraceLog::enabled() } else { TraceLog::disabled() };
-    let mut redistributions = 0u64;
-    let mut handled_faults = 0u64;
-    let mut discarded_faults = 0u64;
-    let mut fatal_risk_events = 0u64;
-    // Per-task end of the post-fault recovery window, for fatal-risk
-    // accounting.
-    let mut recovery_until = vec![0.0f64; n];
-    // Reusable event-loop buffers: steady-state events allocate nothing.
-    let mut eligible: Vec<TaskId> = Vec::new();
-    let mut finishing: Vec<TaskId> = Vec::new();
-    let mut scratch = PolicyScratch::default();
+    let trace = TraceLog::from_events(cfg.record_trace, Vec::new());
+    let mut k = Kernel::new(state, trace, cfg.reference_policies, cfg.pseudocode_fault_bias);
+    let mut faults = cfg.faults.map(|fc| FaultSource::new(fc.seed, p, fc.law));
 
     let mut events = 0u64;
-    while state.active_count() > 0 {
+    while k.state.active_count() > 0 {
         events += 1;
         if events > cfg.max_events {
             return Err(ScheduleError::EventLimitExceeded { limit: cfg.max_events });
         }
 
-        let (end_task, t_end) = state.earliest_active().expect("active tasks remain");
+        let (end_task, t_end) = k.state.earliest_active().expect("active tasks remain");
         let t_fault = faults.as_ref().and_then(FaultSource::peek_time);
 
         if t_fault.is_none_or(|tf| t_end <= tf) {
-            // ---- Task end event -------------------------------------------------
-            state.complete(end_task, t_end);
-            trace.push(TraceEvent::TaskEnd { time: t_end, task: end_task });
-            if state.active_count() > 0 && state.free_count() >= 2 && !end_policy.is_noop() {
-                // Participants exclude tasks still inside a previous
-                // redistribution window (Algorithm 2 line 15) — derived
-                // lazily by the incremental policies, or materialized here
-                // for the reference path.
-                let eligible_set = if cfg.reference_policies {
-                    eligible.clear();
-                    eligible.extend(
-                        state.active_tasks().filter(|&i| state.runtime(i).t_last_r <= t_end),
-                    );
-                    EligibleSet::Listed(&eligible)
-                } else {
-                    EligibleSet::live()
-                };
-                let mut ctx = HeuristicCtx {
-                    calc,
-                    state: &mut state,
-                    trace: &mut trace,
-                    now: t_end,
-                    eligible: eligible_set,
-                    scratch: &mut scratch,
-                    pseudocode_fault_bias: cfg.pseudocode_fault_bias,
-                    redistributions: &mut redistributions,
-                };
-                end_policy.on_task_end(&mut ctx);
+            k.complete(end_task, t_end);
+            if k.state.active_count() > 0 && k.state.free_count() >= 2 && !end_policy.is_noop()
+            {
+                k.decide(calc, t_end, |ctx| end_policy.on_task_end(ctx));
             }
         } else {
-            // ---- Fault event ----------------------------------------------------
             let fault = faults
                 .as_mut()
                 .expect("t_fault was Some")
                 .next_fault()
                 .expect("stream is infinite");
-            let t = fault.time;
-            let struck = state.owner(fault.proc);
-            let Some(f) = struck else {
-                // Idle processor: nothing to lose.
-                discarded_faults += 1;
-                trace.push(TraceEvent::FaultDiscarded { time: t, proc: fault.proc });
-                continue;
-            };
-            if t < state.runtime(f).t_last_r {
-                // Protected window: downtime/recovery/redistribution in
-                // progress (§6.1: failures cannot strike there).
-                discarded_faults += 1;
-                if t < recovery_until[f] {
-                    fatal_risk_events += 1;
-                }
-                trace.push(TraceEvent::FaultDiscarded { time: t, proc: fault.proc });
-                continue;
-            }
-
-            handled_faults += 1;
-            // Roll the faulty task back to its last checkpoint (Algorithm 2
-            // lines 23–26).
-            let j = state.sigma(f);
-            let elapsed = t - state.runtime(f).t_last_r;
-            let retained = calc.progress_faulty(f, j, elapsed);
-            let d = calc.downtime();
-            let r = calc.recovery_time(f, j);
-            let anchor = t + d + r;
-            {
-                let rt = state.runtime_mut(f);
-                rt.alpha = (rt.alpha - retained).max(0.0);
-                rt.t_last_r = anchor;
-            }
-            let remaining = calc.remaining(f, j, state.runtime(f).alpha);
-            state.set_t_u(f, anchor + remaining);
-            recovery_until[f] = anchor;
-            trace.push(TraceEvent::Fault { time: t, proc: fault.proc, task: f });
-
-            // Tasks that finish during the recovery window complete now and
-            // release their processors (Algorithm 2 line 28). The faulty
-            // task's own finish time is ≥ `anchor` by construction, so the
-            // queue drain never returns it.
-            state.drain_ending_before(anchor, &mut finishing);
-            for &i in &finishing {
-                let tu = state.runtime(i).t_u;
-                state.complete(i, tu);
-                trace.push(TraceEvent::TaskEnd { time: tu, task: i });
-            }
-
-            // Invoke the fault policy only if the faulty task is now the
-            // longest (Algorithm 2 line 30) — an O(1) amortized
-            // latest-queue peek instead of a linear scan.
-            let tu_f = state.runtime(f).t_u;
-            let is_longest = state.none_later_than(tu_f);
-            if is_longest && !fault_policy.is_noop() {
-                let eligible_set = if cfg.reference_policies {
-                    eligible.clear();
-                    eligible.extend(
-                        state
-                            .active_tasks()
-                            .filter(|&i| i != f && state.runtime(i).t_last_r <= t),
-                    );
-                    EligibleSet::Listed(&eligible)
-                } else {
-                    EligibleSet::live_fault(f, f64::NEG_INFINITY)
-                };
-                let mut ctx = HeuristicCtx {
-                    calc,
-                    state: &mut state,
-                    trace: &mut trace,
-                    now: t,
-                    eligible: eligible_set,
-                    scratch: &mut scratch,
-                    pseudocode_fault_bias: cfg.pseudocode_fault_bias,
-                    redistributions: &mut redistributions,
-                };
-                fault_policy.on_fault(&mut ctx, f);
-            }
-            if trace.is_enabled() {
+            let handled = k.fault(
+                calc,
+                fault_policy,
+                fault.proc,
+                fault.time,
+                WindowEnds::CompleteAtFault,
+            );
+            if handled && k.trace.is_enabled() {
                 // The Fig. 9 per-fault snapshot costs O(n) + a stddev pass:
                 // only compute it when a trace is actually recorded.
-                let makespan = state.makespan_estimate();
-                let stddev = state.alloc_stddev();
-                trace.push(TraceEvent::MakespanEstimate {
-                    time: t,
+                let makespan = k.state.makespan_estimate();
+                let alloc_stddev = k.state.alloc_stddev();
+                k.trace.push(TraceEvent::MakespanEstimate {
+                    time: fault.time,
                     makespan,
-                    alloc_stddev: stddev,
+                    alloc_stddev,
                 });
             }
         }
     }
 
-    let makespan = state.makespan_estimate();
     Ok(RunOutcome {
-        makespan,
-        handled_faults,
-        discarded_faults,
-        fatal_risk_events,
-        redistributions,
+        makespan: k.state.makespan_estimate(),
+        handled_faults: k.handled_faults,
+        discarded_faults: k.discarded_faults,
+        fatal_risk_events: k.fatal_risk_events,
+        redistributions: k.redistributions,
         initial_allocation: sigma,
-        trace,
+        trace: k.trace,
     })
+}
+
+/// What a fault does to the tasks whose expected end falls inside the
+/// faulty task's recovery window — the one intended difference between the
+/// static and the online driver. Either way those tasks never donate
+/// processors to the faulty task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowEnds {
+    /// Complete them at the fault, in ascending id, each at its own `t^U`
+    /// (Algorithm 2 line 28) — the static engine.
+    CompleteAtFault,
+    /// Leave them running until their own end events — the online engine.
+    /// Completing them at the fault would release their processors at a
+    /// future timestamp, and an arrival due earlier could then take
+    /// processors that are still busy.
+    LeaveToEndEvents,
+}
+
+/// The Algorithm 2 event steps both engines share, with the state they act
+/// on. A driver owns the event loop: it picks the next event and calls
+/// [`Kernel::complete`], [`Kernel::decide`] or [`Kernel::fault`].
+#[derive(Debug)]
+pub struct Kernel {
+    /// Pack state: allocations, processor ownership, task runtimes.
+    pub state: PackState,
+    /// Event trace (may be disabled).
+    pub trace: TraceLog,
+    /// Per-task end of the latest post-fault recovery window, for
+    /// fatal-risk accounting.
+    pub recovery_until: Vec<f64>,
+    /// Committed reallocations (one per task whose σ changed).
+    pub redistributions: u64,
+    /// Faults that struck a running task and were handled.
+    pub handled_faults: u64,
+    /// Faults discarded (idle processor or protected window).
+    pub discarded_faults: u64,
+    /// Discarded faults inside a post-fault recovery window.
+    pub fatal_risk_events: u64,
+    /// Hand policies a materialized eligible list instead of the live view.
+    reference_policies: bool,
+    /// See [`EngineConfig::pseudocode_fault_bias`].
+    pseudocode_fault_bias: bool,
+    /// Reusable policy planning buffers.
+    scratch: PolicyScratch,
+    /// Reusable id buffer for the recovery-window drain and the reference
+    /// path's eligible list: steady-state events allocate nothing.
+    ids: Vec<TaskId>,
+}
+
+impl Kernel {
+    /// A kernel over `state` with every counter at zero.
+    #[must_use]
+    pub fn new(
+        state: PackState,
+        trace: TraceLog,
+        reference_policies: bool,
+        pseudocode_fault_bias: bool,
+    ) -> Self {
+        Self {
+            recovery_until: vec![0.0; state.num_tasks()],
+            state,
+            trace,
+            redistributions: 0,
+            handled_faults: 0,
+            discarded_faults: 0,
+            fatal_risk_events: 0,
+            reference_policies,
+            pseudocode_fault_bias,
+            scratch: PolicyScratch::default(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// Appends `k` unstarted, unallocated tasks (mid-run job submission).
+    pub fn add_tasks(&mut self, k: usize) {
+        self.state.add_tasks(k);
+        self.recovery_until.resize(self.state.num_tasks(), 0.0);
+    }
+
+    /// Completes task `i` at `t`, releasing its processors, and records the
+    /// end.
+    pub fn complete(&mut self, i: TaskId, t: f64) {
+        self.state.complete(i, t);
+        self.trace.push(TraceEvent::TaskEnd { time: t, task: i });
+    }
+
+    /// Runs one policy call at `now` over the started tasks outside any
+    /// previous redistribution window (Algorithm 2 line 15) — a task-end or
+    /// arrival decision.
+    pub fn decide(
+        &mut self,
+        calc: &TimeCalc,
+        now: f64,
+        call: impl FnOnce(&mut HeuristicCtx<'_>),
+    ) {
+        self.decide_among(calc, now, None, f64::NEG_INFINITY, call);
+    }
+
+    /// [`Kernel::decide`] without task `skip` and without the tasks ending
+    /// before `min_t_u`. The incremental policies get the live view and
+    /// derive membership themselves; the reference path gets the same set
+    /// materialized from scratch, in ascending id.
+    fn decide_among(
+        &mut self,
+        calc: &TimeCalc,
+        now: f64,
+        skip: Option<TaskId>,
+        min_t_u: f64,
+        call: impl FnOnce(&mut HeuristicCtx<'_>),
+    ) {
+        let eligible = if self.reference_policies {
+            let state = &self.state;
+            self.ids.clear();
+            self.ids.extend(state.active_tasks().filter(|&i| {
+                let rt = state.runtime(i);
+                Some(i) != skip
+                    && state.is_started(i)
+                    && rt.t_last_r <= now
+                    && rt.t_u >= min_t_u
+            }));
+            EligibleSet::Listed(&self.ids)
+        } else {
+            EligibleSet::Live { skip, min_t_u }
+        };
+        call(&mut HeuristicCtx {
+            calc,
+            state: &mut self.state,
+            trace: &mut self.trace,
+            now,
+            eligible,
+            scratch: &mut self.scratch,
+            pseudocode_fault_bias: self.pseudocode_fault_bias,
+            redistributions: &mut self.redistributions,
+        });
+    }
+
+    /// Handles a fault on processor `proc` at `t`; returns whether it struck
+    /// a running task (`false`: discarded).
+    ///
+    /// The struck task rolls back to its last checkpoint and pays downtime +
+    /// recovery (Algorithm 2 lines 23–26); `window_ends` settles the tasks
+    /// ending inside that recovery window; then `policy` runs if the struck
+    /// task is now the longest (line 30).
+    pub fn fault(
+        &mut self,
+        calc: &TimeCalc,
+        policy: &dyn FaultPolicy,
+        proc: u32,
+        t: f64,
+        window_ends: WindowEnds,
+    ) -> bool {
+        let owner = self.state.owner(proc);
+        let Some(f) = owner.filter(|&f| t >= self.state.runtime(f).t_last_r) else {
+            // Idle processor or protected window: nothing to lose.
+            self.discarded_faults += 1;
+            if owner.is_some_and(|f| t < self.recovery_until[f]) {
+                self.fatal_risk_events += 1;
+            }
+            self.trace.push(TraceEvent::FaultDiscarded { time: t, proc });
+            return false;
+        };
+
+        self.handled_faults += 1;
+        let j = self.state.sigma(f);
+        let rt = self.state.runtime_mut(f);
+        let retained = calc.progress_faulty(f, j, t - rt.t_last_r);
+        let anchor = t + calc.downtime() + calc.recovery_time(f, j);
+        rt.alpha = (rt.alpha - retained).max(0.0);
+        rt.t_last_r = anchor;
+        let remaining = calc.remaining(f, j, rt.alpha);
+        self.state.set_t_u(f, anchor + remaining);
+        self.recovery_until[f] = anchor;
+        self.trace.push(TraceEvent::Fault { time: t, proc, task: f });
+
+        if window_ends == WindowEnds::CompleteAtFault {
+            // The faulty task's own finish time is ≥ `anchor`, so the drain
+            // never returns it.
+            let mut ending = std::mem::take(&mut self.ids);
+            self.state.drain_ending_before(anchor, &mut ending);
+            for &i in &ending {
+                let t_u = self.state.runtime(i).t_u;
+                self.complete(i, t_u);
+            }
+            self.ids = ending;
+        }
+
+        // An O(1) amortized latest-queue peek. Tasks left running inside
+        // the window end before `anchor`, so they cannot change the answer.
+        let t_u_f = self.state.runtime(f).t_u;
+        if self.state.none_later_than(t_u_f) && !policy.is_noop() {
+            self.decide_among(calc, t, Some(f), anchor, |ctx| policy.on_fault(ctx, f));
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::Plan;
     use crate::policies::{
         EndGreedy, EndLocal, Heuristic, IteratedGreedy, NoEndRedistribution,
         NoFaultRedistribution, ShortestTasksFirst,
@@ -551,5 +673,106 @@ mod tests {
         let cfg = EngineConfig { max_events: 2, ..EngineConfig::fault_free() };
         let err = run(&calc, &NoEndRedistribution, &NoFaultRedistribution, &cfg).unwrap_err();
         assert_eq!(err, ScheduleError::EventLimitExceeded { limit: 2 });
+    }
+
+    const T_FAULT: f64 = 1000.0;
+
+    /// Four started tasks on 4 processors each (20 in all, 16..20 idle),
+    /// with `t^U` set by hand around a fault on task 0 at `T_FAULT`: tasks 3
+    /// then 1 end inside task 0's recovery window, task 2 after it. Returns
+    /// the recovery anchor `T_FAULT + D + R` too.
+    fn window_pack(reference_policies: bool) -> (TimeCalc, Kernel, f64) {
+        let calc = fault_calc(4, 20, 100.0);
+        let window = calc.downtime() + calc.recovery_time(0, 4);
+        let anchor = T_FAULT + window;
+        let mut state = PackState::new(20, &[4, 4, 4, 4]);
+        let ends = [1e7, T_FAULT + 0.5 * window, anchor + 1000.0, T_FAULT + 0.25 * window];
+        for (i, t_u) in ends.into_iter().enumerate() {
+            state.set_t_u(i, t_u);
+        }
+        let k = Kernel::new(state, TraceLog::enabled(), reference_policies, false);
+        (calc, k, anchor)
+    }
+
+    /// Fault policy that records the donors it is offered and moves nothing.
+    #[derive(Debug, Default)]
+    struct RecordDonors(std::sync::Mutex<Vec<Vec<TaskId>>>);
+
+    impl FaultPolicy for RecordDonors {
+        fn on_fault(&self, ctx: &mut HeuristicCtx<'_>, _faulty: TaskId) {
+            let mut donors = Vec::new();
+            ctx.for_each_eligible(|i| donors.push(i));
+            self.0.lock().unwrap().push(donors);
+        }
+    }
+
+    #[test]
+    fn fault_step_settles_window_ends_by_mode() {
+        for reference in [false, true] {
+            let mut donors = Vec::new();
+            for mode in [WindowEnds::CompleteAtFault, WindowEnds::LeaveToEndEvents] {
+                let (calc, mut k, anchor) = window_pack(reference);
+                let t_u = [1, 3].map(|i| k.state.runtime(i).t_u);
+                let policy = RecordDonors::default();
+                assert!(k.fault(&calc, &policy, 0, T_FAULT, mode));
+                assert_eq!(k.recovery_until[0], anchor);
+                let ends: Vec<(TaskId, f64)> = k
+                    .trace
+                    .events()
+                    .iter()
+                    .filter_map(|e| match *e {
+                        TraceEvent::TaskEnd { time, task } => Some((task, time)),
+                        _ => None,
+                    })
+                    .collect();
+                if mode == WindowEnds::CompleteAtFault {
+                    // Ascending id, each at its own `t^U` — not end order.
+                    assert_eq!(ends, [(1, t_u[0]), (3, t_u[1])]);
+                    assert_eq!(k.state.active_ids(), [0, 2]);
+                } else {
+                    assert!(ends.is_empty());
+                    assert_eq!(k.state.active_ids(), [0, 1, 2, 3]);
+                }
+                donors.push(policy.0.into_inner().unwrap());
+            }
+            // Window ends never donate, whatever the mode or policy path.
+            assert_eq!(donors, [[[2]], [[2]]], "reference path: {reference}");
+        }
+    }
+
+    #[test]
+    fn fault_step_discards_and_counts_fatal_risk() {
+        let (calc, mut k, anchor) = window_pack(false);
+        let mode = WindowEnds::CompleteAtFault;
+        let policy = NoFaultRedistribution;
+        // An idle processor: discarded, nothing at risk.
+        assert!(!k.fault(&calc, &policy, 19, T_FAULT, mode));
+        assert_eq!((k.discarded_faults, k.fatal_risk_events), (1, 0));
+        assert!(k.fault(&calc, &policy, 0, T_FAULT, mode));
+        // Inside task 0's recovery window: discarded, a fatal risk.
+        assert!(!k.fault(&calc, &policy, 1, 0.5 * (T_FAULT + anchor), mode));
+        assert_eq!((k.discarded_faults, k.fatal_risk_events), (2, 1));
+        // A redistribution after the recovery window opens a new protected
+        // window: a fault there is discarded, but no fatal risk.
+        let t_r = anchor + 50.0;
+        k.decide(&calc, t_r, |ctx| {
+            let alpha_t = ctx.alpha_current(0);
+            ctx.commit(&[Plan {
+                task: 0,
+                sigma_init: 4,
+                sigma_new: 6,
+                alpha_t,
+                faulty: false,
+            }]);
+        });
+        assert!(k.state.runtime(0).t_last_r > t_r + 1.0);
+        assert!(!k.fault(&calc, &policy, 2, t_r + 1.0, mode));
+        assert_eq!(
+            (k.handled_faults, k.discarded_faults, k.fatal_risk_events, k.redistributions),
+            (1, 3, 1, 1)
+        );
+        let discards =
+            k.trace.events().iter().filter(|e| matches!(e, TraceEvent::FaultDiscarded { .. }));
+        assert_eq!(discards.count(), 3);
     }
 }

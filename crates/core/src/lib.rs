@@ -33,7 +33,7 @@ pub mod policies;
 pub mod state;
 
 pub use ctx::{EligibleSet, HeuristicCtx, Plan, PlanEntry, PolicyScratch};
-pub use engine::{run, EngineConfig, FaultConfig, RunOutcome};
+pub use engine::{run, EngineConfig, FaultConfig, Kernel, RunOutcome, WindowEnds};
 pub use error::ScheduleError;
 pub use heap::{LazyMaxHeap, LazyMinHeap};
 pub use incremental::{IncrementalState, SessionOverlay};

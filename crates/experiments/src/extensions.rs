@@ -1,5 +1,4 @@
-//! Extension experiments beyond the paper's figures (all flagged as such
-//! in DESIGN.md §6):
+//! Extension experiments beyond the paper's figures:
 //!
 //! * [`validation_table`] — Monte-Carlo validation of the expected-time
 //!   formula (Eq. 4) against a physical single-task simulation;

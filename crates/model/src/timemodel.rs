@@ -32,7 +32,7 @@ pub enum ExecutionMode {
 }
 
 /// How the engine converts a task's remaining fraction into the time of its
-/// *end event* (see DESIGN.md: "Event-loop semantics").
+/// *end event*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EndSemantics {
     /// End events fire at the current expected finish time

@@ -7,11 +7,14 @@
 //! ([`Session::run_to_completion`]) that returns the familiar
 //! [`OnlineOutcome`].
 //!
-//! The event-processing code is the PR 3 engine verbatim — arrival
-//! admission with fair-share grants, completion redistribution, fault
-//! rollback — so a flat-FIFO session replays the exact decision sequence of
-//! the original one-shot online engine: same job stream, same fault seed,
-//! same strategy ⇒ byte-identical event logs. Multi-pack staging
+//! The session owns the online layer — release order, FIFO admission with
+//! fair-share grants, the arrival rebalance — and hands every Algorithm 2
+//! step to the same [`Kernel`] the static engine drives: task completion,
+//! policy calls and the fault path. The one intended difference is a
+//! constant, [`WindowEnds::LeaveToEndEvents`]: jobs ending inside a
+//! recovery window complete at their own end events, not at the fault.
+//! Same job stream, same fault seed, same strategy ⇒ byte-identical event
+//! logs. Multi-pack staging
 //! ([`PackStaging::Oversubscribed`](crate::PackStaging)) layers the
 //! `redistrib-packs` partitioning on top of the admission queue without
 //! touching the flat path.
@@ -19,9 +22,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use redistrib_core::{
-    EligibleSet, EndPolicy, FaultPolicy, HeuristicCtx, PackState, PolicyScratch, ScheduleError,
-};
+use redistrib_core::{EndPolicy, FaultPolicy, Kernel, PackState, ScheduleError, WindowEnds};
 use redistrib_model::{JobSpec, Platform, SpeedupModel, TaskId, TimeCalc, Workload};
 use redistrib_sim::faults::FaultSource;
 use redistrib_sim::trace::{TraceEvent, TraceLog};
@@ -131,17 +132,6 @@ pub enum JobState {
     },
 }
 
-/// The static-engine policy entry point to invoke.
-enum PolicyCall {
-    /// The strategy-selected greedy rebuild over the eligible set
-    /// (arrival rebalance; see `Heuristic::arrival_rebuild`).
-    Rebuild,
-    /// The strategy's end policy (completion).
-    End,
-    /// The strategy's fault policy toward the given faulty job.
-    Fault(TaskId),
-}
-
 /// A stepped online run: event loop, inspection and outcome assembly.
 ///
 /// Create one through [`Scheduler::session`](crate::Scheduler::session);
@@ -155,28 +145,20 @@ pub struct Session {
     p: u32,
     strategy: OnlineStrategy,
     config: OnlineConfig,
-    // Simulation state (the PR 3 `OnlineSim`, field for field).
+    // Simulation state.
     calc: TimeCalc,
-    state: PackState,
-    trace: TraceLog,
+    /// Pack state, trace and fault counters, with the Algorithm 2 steps.
+    kernel: Kernel,
     running: BTreeSet<TaskId>,
     queue: VecDeque<TaskId>,
     released: Vec<bool>,
     start: Vec<f64>,
     completion: Vec<f64>,
-    recovery_until: Vec<f64>,
     queue_series: Vec<(f64, usize)>,
-    redistributions: u64,
-    handled_faults: u64,
-    discarded_faults: u64,
-    fatal_risk_events: u64,
     busy_proc_seconds: f64,
     last_t: f64,
     end_policy: Box<dyn EndPolicy>,
     fault_policy: Box<dyn FaultPolicy>,
-    /// Reusable event-loop buffers: steady-state events allocate nothing.
-    eligible_buf: Vec<TaskId>,
-    scratch: PolicyScratch,
     // Event-loop cursor state.
     faults: Option<FaultSource>,
     /// Faults drawn from the source so far (handled + discarded) — the
@@ -229,26 +211,24 @@ impl Session {
             p,
             strategy,
             calc,
-            state: PackState::unallocated(p, n),
-            trace: if config.record_trace { TraceLog::enabled() } else { TraceLog::disabled() },
+            // The online engine follows the §3.3.2 text: no pseudocode bias.
+            kernel: Kernel::new(
+                PackState::unallocated(p, n),
+                TraceLog::from_events(config.record_trace, Vec::new()),
+                config.reference_policies,
+                false,
+            ),
             config,
             running: BTreeSet::new(),
             queue: VecDeque::new(),
             released: vec![false; n],
             start: vec![0.0; n],
             completion: vec![0.0; n],
-            recovery_until: vec![0.0; n],
             queue_series: Vec::new(),
-            redistributions: 0,
-            handled_faults: 0,
-            discarded_faults: 0,
-            fatal_risk_events: 0,
             busy_proc_seconds: 0.0,
             last_t: 0.0,
             end_policy: strategy.heuristic.end_policy(),
             fault_policy: strategy.heuristic.fault_policy(),
-            eligible_buf: Vec::new(),
-            scratch: PolicyScratch::default(),
             faults,
             faults_drawn: 0,
             order,
@@ -292,13 +272,13 @@ impl Session {
     /// Currently running jobs with their allocation sizes, ascending id.
     #[must_use]
     pub fn running_jobs(&self) -> Vec<(TaskId, u32)> {
-        self.running.iter().map(|&i| (i, self.state.sigma(i))).collect()
+        self.running.iter().map(|&i| (i, self.kernel.state.sigma(i))).collect()
     }
 
     /// Free processors.
     #[must_use]
     pub fn free_procs(&self) -> u32 {
-        self.state.free_count()
+        self.kernel.state.free_count()
     }
 
     /// Live state of job `i`.
@@ -309,7 +289,7 @@ impl Session {
     pub fn job_state(&self, i: TaskId) -> JobState {
         assert!(i < self.jobs.len(), "job {i} out of range");
         if self.running.contains(&i) {
-            return JobState::Running { alloc: self.state.sigma(i) };
+            return JobState::Running { alloc: self.kernel.state.sigma(i) };
         }
         if self.completion[i] > 0.0 {
             return JobState::Completed { at: self.completion[i] };
@@ -325,7 +305,7 @@ impl Session {
     /// access between steps, e.g. for paging events out of a service.
     #[must_use]
     pub fn trace(&self) -> &TraceLog {
-        &self.trace
+        &self.kernel.trace
     }
 
     /// Total jobs known to the session (initial stream plus submissions).
@@ -415,15 +395,9 @@ impl Session {
                 .next_fault()
                 .expect("fault streams are infinite");
             self.faults_drawn += 1;
-            let handled_before = self.handled_faults;
-            let job = self.state.owner(fault.proc);
-            self.handle_fault(fault.proc, fault.time);
-            SessionEvent::Fault {
-                time: fault.time,
-                proc: fault.proc,
-                job,
-                handled: self.handled_faults > handled_before,
-            }
+            let job = self.kernel.state.owner(fault.proc);
+            let handled = self.handle_fault(fault.proc, fault.time);
+            SessionEvent::Fault { time: fault.time, proc: fault.proc, job, handled }
         };
         Ok(Some(event))
     }
@@ -497,9 +471,8 @@ impl Session {
         self.released.resize(n, false);
         self.start.resize(n, 0.0);
         self.completion.resize(n, 0.0);
-        self.recovery_until.resize(n, 0.0);
         self.pack_of.resize(n, None);
-        self.state.add_tasks(n - old);
+        self.kernel.add_tasks(n - old);
         // Merge the newcomers into the pending arrival suffix. The stable
         // sort keeps equal releases in id order (the suffix was already
         // id-ordered per release, and the appended ids are the largest), so
@@ -546,7 +519,7 @@ impl Session {
         self.build_outcome(
             self.queue_series.clone(),
             self.staging.as_ref().map(|st| st.reports.clone()).unwrap_or_default(),
-            self.trace.clone(),
+            self.kernel.trace.clone(),
         )
     }
 
@@ -555,7 +528,7 @@ impl Session {
         debug_assert!(self.is_done());
         let queue_series = std::mem::take(&mut self.queue_series);
         let packs = self.staging.take().map(|st| st.reports).unwrap_or_default();
-        let trace = std::mem::take(&mut self.trace);
+        let trace = std::mem::take(&mut self.kernel.trace);
         self.build_outcome(queue_series, packs, trace)
     }
 
@@ -587,10 +560,10 @@ impl Session {
             makespan,
             jobs: stats,
             metrics,
-            handled_faults: self.handled_faults,
-            discarded_faults: self.discarded_faults,
-            fatal_risk_events: self.fatal_risk_events,
-            redistributions: self.redistributions,
+            handled_faults: self.kernel.handled_faults,
+            discarded_faults: self.kernel.discarded_faults,
+            fatal_risk_events: self.kernel.fatal_risk_events,
+            redistributions: self.kernel.redistributions,
             queue_series,
             packs,
             trace,
@@ -613,17 +586,17 @@ impl Session {
             strategy: self.strategy,
             config: self.config,
             faults_drawn: self.faults_drawn,
-            state: self.state.snapshot(),
-            trace: self.trace.events().to_vec(),
+            state: self.kernel.state.snapshot(),
+            trace: self.kernel.trace.events().to_vec(),
             queue: self.queue.iter().copied().collect(),
             start: self.start.clone(),
             completion: self.completion.clone(),
-            recovery_until: self.recovery_until.clone(),
+            recovery_until: self.kernel.recovery_until.clone(),
             queue_series: self.queue_series.clone(),
-            redistributions: self.redistributions,
-            handled_faults: self.handled_faults,
-            discarded_faults: self.discarded_faults,
-            fatal_risk_events: self.fatal_risk_events,
+            redistributions: self.kernel.redistributions,
+            handled_faults: self.kernel.handled_faults,
+            discarded_faults: self.kernel.discarded_faults,
+            fatal_risk_events: self.kernel.fatal_risk_events,
             busy_proc_seconds: self.busy_proc_seconds,
             last_t: self.last_t,
             next_arrival: self.next_arrival,
@@ -747,32 +720,31 @@ impl Session {
         } else {
             TimeCalc::fault_free(workload, snap.platform)
         };
+        let trace = TraceLog::from_events(snap.config.record_trace, snap.trace);
+        let mut kernel = Kernel::new(state, trace, snap.config.reference_policies, false);
+        kernel.recovery_until = snap.recovery_until;
+        kernel.redistributions = snap.redistributions;
+        kernel.handled_faults = snap.handled_faults;
+        kernel.discarded_faults = snap.discarded_faults;
+        kernel.fatal_risk_events = snap.fatal_risk_events;
         Ok(Self {
             speedup,
             platform: snap.platform,
             p,
             strategy: snap.strategy,
             calc,
-            state,
-            trace: TraceLog::from_events(snap.config.record_trace, snap.trace),
+            kernel,
             config: snap.config,
             running,
             queue: snap.queue.into_iter().collect(),
             released,
             start: snap.start,
             completion: snap.completion,
-            recovery_until: snap.recovery_until,
             queue_series: snap.queue_series,
-            redistributions: snap.redistributions,
-            handled_faults: snap.handled_faults,
-            discarded_faults: snap.discarded_faults,
-            fatal_risk_events: snap.fatal_risk_events,
             busy_proc_seconds: snap.busy_proc_seconds,
             last_t: snap.last_t,
             end_policy: snap.strategy.heuristic.end_policy(),
             fault_policy: snap.strategy.heuristic.fault_policy(),
-            eligible_buf: Vec::new(),
-            scratch: PolicyScratch::default(),
             faults,
             faults_drawn: snap.faults_drawn,
             order,
@@ -785,9 +757,8 @@ impl Session {
     }
 
     // ------------------------------------------------------------------
-    // Event handlers — the PR 3 `OnlineSim` code, with the staging hooks
-    // spliced in behind `self.staging` (a flat-FIFO session never takes
-    // them, so its decision sequence is unchanged byte for byte).
+    // Event handlers. The staging hooks sit behind `self.staging`: a
+    // flat-FIFO session never takes them.
     // ------------------------------------------------------------------
 
     /// Total waiting jobs (queue + staged backlog + pending packs). Equals
@@ -801,7 +772,7 @@ impl Session {
     fn advance(&mut self, t: f64) {
         let dt = (t - self.last_t).max(0.0);
         if dt > 0.0 {
-            self.busy_proc_seconds += f64::from(self.state.used_count()) * dt;
+            self.busy_proc_seconds += f64::from(self.kernel.state.used_count()) * dt;
             self.last_t = self.last_t.max(t);
         }
     }
@@ -811,7 +782,7 @@ impl Session {
     /// queued jobs never enter it (their `t^U` is only set at start), so
     /// the heap view coincides with the `running` set.
     fn earliest_end(&mut self) -> Option<(TaskId, f64)> {
-        let picked = self.state.earliest_active();
+        let picked = self.kernel.state.earliest_active();
         debug_assert_eq!(
             picked.map(|(i, _)| self.running.contains(&i)),
             picked.map(|_| true),
@@ -820,25 +791,11 @@ impl Session {
         picked
     }
 
-    /// Fills `into` with the jobs allowed to participate in a
-    /// redistribution at time `t`: running and not inside a previous
-    /// redistribution window. `skip` excludes the faulty job (handled
-    /// separately by fault policies).
-    fn fill_eligible(&self, t: f64, skip: Option<TaskId>, into: &mut Vec<TaskId>) {
-        into.clear();
-        into.extend(
-            self.running
-                .iter()
-                .copied()
-                .filter(|&i| Some(i) != skip && self.state.runtime(i).t_last_r <= t),
-        );
-    }
-
     /// The admission layer's initial allocation for job `i`: the best even
     /// allocation (Algorithm 1's improvement scan applied to one job)
     /// within a fair share of the free pool.
     fn admission_grant(&mut self, i: TaskId, waiting: usize) -> u32 {
-        let free = self.state.free_count();
+        let free = self.kernel.state.free_count();
         debug_assert!(free >= 2 && waiting >= 1);
         let share = free / waiting.max(1) as u32;
         let cap = (share - share % 2).max(2);
@@ -859,22 +816,22 @@ impl Session {
     /// Starts job `i` at time `t` on its admission grant.
     fn start_job(&mut self, i: TaskId, t: f64, waiting: usize) {
         let grant = self.admission_grant(i, waiting);
-        self.state.grow(i, grant);
+        self.kernel.state.grow(i, grant);
         let remaining = self.calc.remaining(i, grant, 1.0);
-        let rt = self.state.runtime_mut(i);
+        let rt = self.kernel.state.runtime_mut(i);
         rt.alpha = 1.0;
         rt.t_last_r = t;
-        self.state.set_t_u(i, t + remaining);
+        self.kernel.state.set_t_u(i, t + remaining);
         self.running.insert(i);
         self.start[i] = t;
-        self.trace.push(TraceEvent::JobStart { time: t, job: i, alloc: grant });
+        self.kernel.trace.push(TraceEvent::JobStart { time: t, job: i, alloc: grant });
     }
 
     /// Admits queued jobs FIFO while at least two processors are free.
     /// Returns how many jobs started.
     fn admit_queued(&mut self, t: f64) -> usize {
         let mut started = 0;
-        while self.state.free_count() >= 2 {
+        while self.kernel.state.free_count() >= 2 {
             let waiting = self.queue.len();
             let Some(i) = self.queue.pop_front() else { break };
             self.start_job(i, t, waiting);
@@ -884,64 +841,12 @@ impl Session {
         started
     }
 
-    /// Builds the policy context once and dispatches the requested call —
-    /// the single spot where the online engine enters static-engine policy
-    /// code. No-op on an empty listed set (except fault policies, which
-    /// can act on the faulty job alone); the live view is handed through
-    /// as-is, the incremental policies derive membership themselves.
-    fn run_policy(&mut self, t: f64, eligible: EligibleSet<'_>, call: PolicyCall) {
-        if let EligibleSet::Listed(list) = eligible {
-            if list.is_empty() && !matches!(call, PolicyCall::Fault(_)) {
-                return;
-            }
-        }
-        let mut ctx = HeuristicCtx {
-            calc: &self.calc,
-            state: &mut self.state,
-            trace: &mut self.trace,
-            now: t,
-            eligible,
-            scratch: &mut self.scratch,
-            pseudocode_fault_bias: false,
-            redistributions: &mut self.redistributions,
-        };
-        match call {
-            // The arrival rebalance follows the strategy's greedy flavor
-            // (the exact reset, or the approximate warm resume),
-            // selected by the heuristic exactly like end/fault policies.
-            PolicyCall::Rebuild => (self.strategy.heuristic.arrival_rebuild())(&mut ctx, None),
-            PolicyCall::End => self.end_policy.on_task_end(&mut ctx),
-            PolicyCall::Fault(f) => self.fault_policy.on_fault(&mut ctx, f),
-        }
-    }
-
-    /// Runs a non-fault policy call over the jobs eligible at `t`: the
-    /// live view on the incremental path, or a materialized list on the
-    /// reference path.
-    fn run_policy_eligible(&mut self, t: f64, call: PolicyCall) {
-        if self.config.reference_policies {
-            let mut eligible = std::mem::take(&mut self.eligible_buf);
-            self.fill_eligible(t, None, &mut eligible);
-            self.run_policy(t, EligibleSet::Listed(&eligible), call);
-            self.eligible_buf = eligible;
-        } else {
-            self.run_policy(t, EligibleSet::live(), call);
-        }
-    }
-
-    /// Greedy rebuild of the running set (the `IteratedGreedy`/`EndGreedy`
-    /// core), used on arrivals.
-    fn rebuild(&mut self, t: f64) {
-        self.run_policy_eligible(t, PolicyCall::Rebuild);
-    }
-
     /// Marks job `i` complete at `t` and releases its processors.
     fn complete_job(&mut self, i: TaskId, t: f64) {
         self.advance(t);
-        self.state.complete(i, t);
+        self.kernel.complete(i, t);
         self.running.remove(&i);
         self.completion[i] = t;
-        self.trace.push(TraceEvent::TaskEnd { time: t, task: i });
     }
 
     /// Partitions `waiting` into staged packs and queues them as pending.
@@ -968,7 +873,7 @@ impl Session {
             let Some(st) = self.staging.as_mut() else { return };
             if let Some(mut pack) = st.pending.pop_front() {
                 pack.opened_at = t;
-                self.trace.push(TraceEvent::PackStart {
+                self.kernel.trace.push(TraceEvent::PackStart {
                     time: t,
                     pack: pack.id,
                     jobs: pack.members.len() as u32,
@@ -1023,16 +928,16 @@ impl Session {
     fn handle_arrival(&mut self, i: TaskId, t: f64) {
         self.advance(t);
         self.released[i] = true;
-        self.trace.push(TraceEvent::JobArrival { time: t, job: i });
+        self.kernel.trace.push(TraceEvent::JobArrival { time: t, job: i });
         if self.staging.as_ref().is_some_and(PackSetState::engaged) {
             // Packs are draining: the newcomer waits in the backlog until
             // the current pack sequence is exhausted.
-            self.trace.push(TraceEvent::JobQueued { time: t, job: i });
+            self.kernel.trace.push(TraceEvent::JobQueued { time: t, job: i });
             self.staging.as_mut().expect("engaged staging").backlog.push_back(i);
             self.queue_series.push((t, self.waiting_count()));
         } else {
-            if self.state.free_count() < 2 {
-                self.trace.push(TraceEvent::JobQueued { time: t, job: i });
+            if self.kernel.state.free_count() < 2 {
+                self.kernel.trace.push(TraceEvent::JobQueued { time: t, job: i });
             }
             self.queue.push_back(i);
             self.queue_series.push((t, self.waiting_count()));
@@ -1044,17 +949,20 @@ impl Session {
                 self.open_next_pack(t);
             }
         }
-        // A tight pool may still hold past-sweet-spot allocations: shed
-        // them before trying to admit.
+        // The arrival rebalance is the strategy's greedy rebuild (the exact
+        // reset, or the approximate warm resume). A tight pool may still
+        // hold past-sweet-spot allocations: shed them before trying to
+        // admit.
+        let rebuild = self.strategy.heuristic.arrival_rebuild();
         if self.strategy.rebalance_on_arrival
-            && self.state.free_count() < 2
+            && self.kernel.state.free_count() < 2
             && !self.running.is_empty()
         {
-            self.rebuild(t);
+            self.kernel.decide(&self.calc, t, |ctx| rebuild(ctx, None));
         }
         let started = self.admit_queued(t);
         if self.strategy.rebalance_on_arrival && started > 0 {
-            self.rebuild(t);
+            self.kernel.decide(&self.calc, t, |ctx| rebuild(ctx, None));
             // The rebuild may have freed further pairs (jobs shrunk toward
             // their sweet spots): give them to still-queued jobs.
             self.admit_queued(t);
@@ -1068,81 +976,31 @@ impl Session {
         }
         self.admit_queued(t);
         if !self.running.is_empty()
-            && self.state.free_count() >= 2
+            && self.kernel.state.free_count() >= 2
             && !self.end_policy.is_noop()
         {
-            self.run_policy_eligible(t, PolicyCall::End);
+            self.kernel.decide(&self.calc, t, |ctx| self.end_policy.on_task_end(ctx));
             // A greedy end policy may have shed processors: admit again.
             self.admit_queued(t);
         }
-        debug_assert!(self.state.check_invariants());
+        debug_assert!(self.kernel.state.check_invariants());
     }
 
-    fn handle_fault(&mut self, proc: u32, t: f64) {
+    /// Returns whether the fault struck a running job (vs. discarded).
+    fn handle_fault(&mut self, proc: u32, t: f64) -> bool {
         self.advance(t);
-        let Some(f) = self.state.owner(proc) else {
-            self.discarded_faults += 1;
-            self.trace.push(TraceEvent::FaultDiscarded { time: t, proc });
-            return;
-        };
-        if t < self.state.runtime(f).t_last_r {
-            // Protected downtime/recovery/redistribution window.
-            self.discarded_faults += 1;
-            if t < self.recovery_until[f] {
-                self.fatal_risk_events += 1;
-            }
-            self.trace.push(TraceEvent::FaultDiscarded { time: t, proc });
-            return;
+        let handled = self.kernel.fault(
+            &self.calc,
+            &*self.fault_policy,
+            proc,
+            t,
+            WindowEnds::LeaveToEndEvents,
+        );
+        if handled {
+            self.admit_queued(t);
+            debug_assert!(self.kernel.state.check_invariants());
         }
-
-        self.handled_faults += 1;
-        // Roll back to the last checkpoint; pay downtime + recovery
-        // (Algorithm 2 lines 23–26, unchanged from the static engine).
-        let j = self.state.sigma(f);
-        let elapsed = t - self.state.runtime(f).t_last_r;
-        let retained = self.calc.progress_faulty(f, j, elapsed);
-        let d = self.calc.downtime();
-        let r = self.calc.recovery_time(f, j);
-        let anchor = t + d + r;
-        {
-            let rt = self.state.runtime_mut(f);
-            rt.alpha = (rt.alpha - retained).max(0.0);
-            rt.t_last_r = anchor;
-        }
-        let remaining = self.calc.remaining(f, j, self.state.runtime(f).alpha);
-        self.state.set_t_u(f, anchor + remaining);
-        self.recovery_until[f] = anchor;
-        self.trace.push(TraceEvent::Fault { time: t, proc, task: f });
-
-        // Unlike the static engine, jobs finishing inside the recovery
-        // window are NOT completed here: eager completion would release
-        // their processors at a *future* timestamp, letting an arrival due
-        // earlier grab processors that are still physically busy. The main
-        // loop completes them as ordinary end events in global time order.
-        // They are only excluded from the fault policy's donor set below
-        // (`t_u < anchor`), matching the static engine's decisions.
-
-        // Fault policy only if the struck job became the longest — an O(1)
-        // amortized latest-queue peek instead of a scan over `running`.
-        let tu_f = self.state.runtime(f).t_u;
-        let is_longest = self.state.none_later_than(tu_f);
-        if is_longest && !self.fault_policy.is_noop() {
-            if self.config.reference_policies {
-                let mut eligible = std::mem::take(&mut self.eligible_buf);
-                self.fill_eligible(t, Some(f), &mut eligible);
-                eligible.retain(|&i| self.state.runtime(i).t_u >= anchor);
-                self.run_policy(t, EligibleSet::Listed(&eligible), PolicyCall::Fault(f));
-                self.eligible_buf = eligible;
-            } else {
-                // Jobs finishing inside the recovery window are excluded
-                // from the donor set (the static engine has completed its
-                // equivalents already; here they complete as ordinary end
-                // events later).
-                self.run_policy(t, EligibleSet::live_fault(f, anchor), PolicyCall::Fault(f));
-            }
-        }
-        self.admit_queued(t);
-        debug_assert!(self.state.check_invariants());
+        handled
     }
 }
 

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use redistrib_core::Heuristic;
 use redistrib_model::{PaperModel, Platform};
 use redistrib_online::{
-    generate_jobs, JobSizeModel, OnlineConfig, OnlineOutcome, OnlineStrategy, PoissonArrivals,
-    Scheduler,
+    generate_jobs, BurstyArrivals, JobSizeModel, OnlineConfig, OnlineOutcome, OnlineStrategy,
+    PackStaging, PoissonArrivals, Scheduler,
 };
 use redistrib_sim::trace::TraceEvent;
 use redistrib_sim::units;
@@ -127,6 +127,43 @@ proptest! {
                 "job {} beat its dedicated-platform reference: {}", j.job, j.stretch());
         }
         prop_assert!(out.makespan >= out.jobs.iter().map(|j| j.completion).fold(0.0, f64::max));
+    }
+
+    /// The event log stays in time order, for every strategy, under flat
+    /// FIFO and staged admission. This pins the online engine's window-end
+    /// mode: completing the jobs that end inside a recovery window at the
+    /// fault, as the static engine does, would log their ends ahead of
+    /// events due earlier, such as a job starting on processors they still
+    /// hold.
+    #[test]
+    fn trace_times_never_decrease(
+        seed in any::<u64>(),
+        p_idx in 0..3usize,
+        mtbf_years in 1.0..4.0f64,
+    ) {
+        let p = [16u32, 24, 40][p_idx];
+        // Bursts of p/2 + 1 jobs oversubscribe an idle platform, so the
+        // staged sessions really stage.
+        let mut arrivals = BurstyArrivals::new(seed, p as usize / 2 + 1, 20_000.0);
+        let jobs = generate_jobs(&mut arrivals, 24, &JobSizeModel::paper_default(), seed);
+        let platform = Platform::with_mtbf(p, units::years(mtbf_years));
+        let cfg = OnlineConfig::with_faults(seed ^ 0xFA17, platform.proc_mtbf).recording();
+        for strategy in STRATEGIES {
+            for staging in [PackStaging::FlatFifo, PackStaging::oversubscribed()] {
+                let out = Scheduler::on(platform)
+                    .speedup(Arc::new(PaperModel::default()))
+                    .strategy(strategy())
+                    .config(cfg)
+                    .staging(staging)
+                    .run(&jobs)
+                    .expect("run completes");
+                let mut last = 0.0f64;
+                for e in out.trace.events() {
+                    prop_assert!(e.time() >= last, "{:?} logged after an event at {}", e, last);
+                    last = e.time();
+                }
+            }
+        }
     }
 
     /// Determinism: the same seed produces a byte-identical event log; the
