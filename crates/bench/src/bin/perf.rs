@@ -127,8 +127,9 @@ fn service_load(sessions: usize, workers: usize, quantum: u64) -> usize {
 
 /// The durability scenario: checkpoint `sessions` mid-run sessions to
 /// the disk archive, then recover a fresh store from the same directory
-/// (startup scan + resume validation) — the crash/restart path end to
-/// end. Returns the number of sessions recovered.
+/// and touch every session (startup scan, then load + CRC + decode +
+/// resume of each on first touch) — the crash/restart path end to end.
+/// Returns the number of sessions recovered.
 fn service_checkpoint_recover(sessions: usize) -> usize {
     let dir = bench_archive_dir();
     let open = || SnapshotArchive::open(&dir).expect("bench archive opens");
@@ -172,7 +173,10 @@ fn service_checkpoint_recover(sessions: usize) -> usize {
     })
     .expect("recovery succeeds");
     assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
-    let n = recovered.len();
+    for &id in &report.restored {
+        recovered.get(id).expect("every recovered session restores");
+    }
+    let n = recovered.live_len();
     assert_eq!(n, sessions, "every session must recover");
     let _ = std::fs::remove_dir_all(&dir);
     n

@@ -239,7 +239,8 @@ fn serve_forever(args: &Args) -> ExitCode {
     }
     if let Some(dir) = &args.archive_dir {
         println!(
-            "archive {}: recovered {} session(s), quarantined {} file(s)",
+            "archive {}: registered {} session(s), restored on first touch; quarantined {} \
+             file(s)",
             dir.display(),
             report.restored.len(),
             report.quarantined.len()

@@ -5,7 +5,8 @@
 //! itself. Every session's snapshot document (the versioned, bit-exact
 //! JSON encoding from [`spec`](crate::spec)) can be checkpointed to a
 //! per-session file, and on startup the server scans the archive and
-//! restores every valid snapshot under its original id.
+//! registers every valid snapshot under its original id, restoring each
+//! on first touch.
 //!
 //! **Framing.** Each file is one frame:
 //!

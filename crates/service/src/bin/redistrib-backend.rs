@@ -149,7 +149,8 @@ fn main() -> ExitCode {
         }
     }
     eprintln!(
-        "backend on http://{} (archive {}, recovered {}, quarantined {})",
+        "backend on http://{} (archive {}, registered {} restored on first touch, \
+         quarantined {})",
         host.addr(),
         args.archive_dir.display(),
         report.restored.len(),

@@ -438,18 +438,21 @@ pub fn handle(state: &ServiceState, req: &Request) -> Response {
     let store = state.store.as_ref();
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     let result: Result<Response, ApiError> = match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => Ok(Response::json(
-            200,
-            &obj(vec![
-                ("ok", Json::Bool(true)),
-                ("sessions", Json::Int(store.len() as i128)),
-                ("live", Json::Int(store.live_len() as i128)),
-                ("evicted", Json::Int(store.evicted_ids().len() as i128)),
-                ("draining", Json::Bool(state.is_draining())),
-                ("archive", Json::Bool(store.archive().is_some())),
-                ("uptime_ms", Json::Int(i128::from(state.uptime_ms()))),
-            ]),
-        )),
+        ("GET", ["healthz"]) => {
+            let (live, evicted) = store.counts();
+            Ok(Response::json(
+                200,
+                &obj(vec![
+                    ("ok", Json::Bool(true)),
+                    ("sessions", Json::Int((live + evicted) as i128)),
+                    ("live", Json::Int(live as i128)),
+                    ("evicted", Json::Int(evicted as i128)),
+                    ("draining", Json::Bool(state.is_draining())),
+                    ("archive", Json::Bool(store.archive().is_some())),
+                    ("uptime_ms", Json::Int(i128::from(state.uptime_ms()))),
+                ]),
+            ))
+        }
         ("POST", ["v1", "sessions"]) => handle_create(store, req),
         ("GET", ["v1", "sessions"]) => Ok(handle_list(store)),
         ("POST", ["v1", "sessions", "restore"]) => handle_restore(store, req),
@@ -629,7 +632,9 @@ pub fn serve(addr: &str, workers: usize) -> io::Result<(ServiceHost, Arc<Session
 
 /// Binds the service with full durability configuration. Runs startup
 /// recovery from the archive (if configured) before accepting traffic
-/// and returns what it recovered.
+/// and returns what it recovered: the archive scan, which registers
+/// every archived session under its original id. Each one is decoded
+/// on its first request, so binding waits for the scan alone.
 ///
 /// # Errors
 /// Propagates bind and archive-directory failures.

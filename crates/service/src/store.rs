@@ -8,6 +8,8 @@
 //! [`OrderedMutex`]. Request handlers clone the `Arc`, drop the map
 //! lock, and then lock just their session, so long-running operations
 //! (`run_to`, `run`) on one session never block traffic to the others.
+//! Restoring an evicted session reads and decodes its checkpoint with
+//! no store lock held, so a first touch never stalls other lookups.
 //! This is the mutex-per-entry layout the 10k-session load bench
 //! exercises.
 //!
@@ -19,8 +21,9 @@
 //! slice of the global order, acquired strictly downward:
 //!
 //! 1. `store-registry` (rank 20) — the map `OrderedRwLock`. Held only
-//!    for registry surgery; never held across a blocking session lock…
-//!    with one deliberate exception that goes the *other* way:
+//!    for registry surgery; never held across an archive read, a
+//!    snapshot decode or a blocking session lock… with one deliberate
+//!    exception that goes the *other* way:
 //! 2. `session` (rank 30) — one entry's `OrderedMutex`. Handlers block
 //!    on it with the registry lock already released. [`evict_idle`]
 //!    holds a session guard while it re-takes the registry write lock,
@@ -44,13 +47,19 @@
 //!
 //! * **checkpoint** — a session's snapshot document is framed and written
 //!   atomically to the [`SnapshotArchive`]; on startup
-//!   [`SessionStore::with_config`] scans the archive, restores every
-//!   valid snapshot under its original id, and quarantines corrupt files.
+//!   [`SessionStore::with_config`] scans the archive and registers every
+//!   snapshot it lists under its original id as [`SlotState::Evicted`].
+//!   A restart costs the scan alone: each session is loaded, CRC-checked,
+//!   decoded and resumed on its first touch, by the same path that
+//!   restores an idle-evicted one. Files the scan rejects are quarantined
+//!   at startup; a file found corrupt or invalid at first touch is
+//!   quarantined then, and its id unregistered.
 //! * **eviction** — sessions idle past [`StoreConfig::idle_ttl`] are
 //!   checkpointed and dropped from memory ([`SlotState::Evicted`]); the
 //!   next access restores them transparently from disk. Eviction is
 //!   mutation-safe: a slot is only evicted while nobody else holds a
-//!   handle to it.
+//!   handle to it, and a restore installs its decode only if the slot
+//!   was not evicted again meanwhile.
 //! * **admission** — beyond [`StoreConfig::max_sessions`] total sessions,
 //!   `create`/`restore` shed with `503 Retry-After` instead of growing
 //!   without bound.
@@ -103,6 +112,17 @@ struct Slot {
     /// Milliseconds since the store's epoch at last access (atomic so
     /// reads under the shared map lock can refresh it).
     touched: AtomicU64,
+    /// Which eviction put this slot in [`SlotState::Evicted`]: the
+    /// store's eviction count at that moment, 0 for a session registered
+    /// from the archive at startup. Counted store-wide rather than per
+    /// slot, so a deleted id pinned again never repeats a value.
+    eviction: u64,
+}
+
+impl Slot {
+    fn live(entry: Arc<OrderedMutex<SessionEntry>>, now_ms: u64) -> Self {
+        Self { state: SlotState::Live(entry), touched: AtomicU64::new(now_ms), eviction: 0 }
+    }
 }
 
 /// Durability and admission settings for a [`SessionStore`].
@@ -122,10 +142,14 @@ pub struct StoreConfig {
 /// What [`SessionStore::with_config`] recovered from the archive.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// Session ids restored from disk, ascending.
+    /// Session ids registered from the archive, ascending. Each is
+    /// decoded on its first touch, which quarantines a bad file instead.
     pub restored: Vec<u64>,
-    /// Quarantined files with the reason each was rejected — framing
-    /// failures found by the scan plus semantically invalid documents.
+    /// Files the startup scan quarantined, with the reason each was
+    /// rejected: torn temp files, bad names, and frames the scan read
+    /// in full (all of them when the manifest is missing or stale). A
+    /// same-size corrupt file under a trusted manifest, or a
+    /// semantically invalid document, is found at first touch instead.
     pub quarantined: Vec<(std::path::PathBuf, String)>,
 }
 
@@ -134,6 +158,8 @@ pub struct RecoveryReport {
 pub struct SessionStore {
     sessions: OrderedRwLock<HashMap<u64, Slot>>,
     next_id: AtomicU64,
+    /// Evictions so far; stamps [`Slot::eviction`].
+    evictions: AtomicU64,
     archive: Option<SnapshotArchive>,
     idle_ttl: Option<Duration>,
     max_sessions: Option<usize>,
@@ -145,6 +171,7 @@ impl Default for SessionStore {
         Self {
             sessions: OrderedRwLock::new(rank::STORE_REGISTRY, HashMap::new()),
             next_id: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
             archive: None,
             idle_ttl: None,
             max_sessions: None,
@@ -172,6 +199,29 @@ fn entry_from_payload(payload: &[u8]) -> Result<SessionEntry, String> {
     Ok(SessionEntry { session, speedup })
 }
 
+/// Loads, CRC-checks, decodes and resumes session `id`'s checkpoint. A
+/// failure carries the reason to quarantine the file under (`None` when
+/// there is no file) and the `500` to answer with.
+fn load_entry(
+    archive: &SnapshotArchive,
+    id: u64,
+) -> Result<SessionEntry, (Option<String>, ApiError)> {
+    let fail = |msg: String| ApiError::new(500, msg);
+    match archive.load(id) {
+        Ok(Some(payload)) => entry_from_payload(&payload).map_err(|why| {
+            let err = fail(format!("evicted session {id} failed to resume: {why}"));
+            (Some(why), err)
+        }),
+        Ok(None) => {
+            Err((None, fail(format!("evicted session {id} is missing from the archive"))))
+        }
+        Err(e) => Err((
+            Some(e.to_string()),
+            fail(format!("evicted session {id} could not be reloaded: {e}")),
+        )),
+    }
+}
+
 impl SessionStore {
     /// Creates an empty, memory-only store (no archive, no TTL, no cap).
     #[must_use]
@@ -180,65 +230,38 @@ impl SessionStore {
     }
 
     /// Creates a store with durability settings and runs startup
-    /// recovery: if an archive is configured, every valid snapshot on
-    /// disk is restored **under its original id**, corrupt or
-    /// semantically invalid files are quarantined, and the id counter
-    /// resumes past the highest recovered id.
+    /// recovery: if an archive is configured, its scan quarantines the
+    /// files it rejects and every snapshot it lists is registered
+    /// **under its original id** as [`SlotState::Evicted`]. Nothing is
+    /// decoded here; each session is loaded, CRC-checked, decoded and
+    /// resumed on its first [`SessionStore::get`], where a corrupt or
+    /// semantically invalid file is quarantined and its id unregistered.
+    /// The id counter resumes past the highest registered id.
     ///
     /// # Errors
     /// Propagates archive directory I/O failures; individual bad
     /// snapshot files never fail recovery — they are quarantined.
     pub fn with_config(cfg: StoreConfig) -> std::io::Result<(Self, RecoveryReport)> {
         let mut report = RecoveryReport::default();
+        if let Some(archive) = &cfg.archive {
+            let scan = archive.scan()?;
+            report = RecoveryReport { restored: scan.restored, quarantined: scan.quarantined };
+        }
+        let evicted = |&id: &u64| {
+            (id, Slot { state: SlotState::Evicted, touched: AtomicU64::new(0), eviction: 0 })
+        };
         let store = Self {
+            sessions: OrderedRwLock::new(
+                rank::STORE_REGISTRY,
+                report.restored.iter().map(evicted).collect(),
+            ),
+            next_id: AtomicU64::new(report.restored.last().copied().unwrap_or(0)),
             archive: cfg.archive,
             idle_ttl: cfg.idle_ttl,
             max_sessions: cfg.max_sessions,
             epoch: Some(Instant::now()),
             ..Self::default()
         };
-        if let Some(archive) = &store.archive {
-            let scan = archive.scan()?;
-            report.quarantined = scan.quarantined;
-            let mut map = store.sessions.write_recover();
-            let mut max_id = 0;
-            for id in scan.restored {
-                // Load each payload individually: a manifest-trusting
-                // scan defers content verification to this read, so a
-                // corrupt-in-place file is quarantined right here.
-                let payload = match archive.load(id) {
-                    Ok(Some(payload)) => payload,
-                    Ok(None) => continue, // vanished between scan and load
-                    Err(e) => {
-                        let why = e.to_string();
-                        if let Some(path) = archive.quarantine(id, &why) {
-                            report.quarantined.push((path, why));
-                        }
-                        continue;
-                    }
-                };
-                match entry_from_payload(&payload) {
-                    Ok(entry) => {
-                        map.insert(
-                            id,
-                            Slot {
-                                state: SlotState::Live(live_entry(entry)),
-                                touched: AtomicU64::new(0),
-                            },
-                        );
-                        report.restored.push(id);
-                        max_id = max_id.max(id);
-                    }
-                    Err(why) => {
-                        if let Some(path) = archive.quarantine(id, &why) {
-                            report.quarantined.push((path, why));
-                        }
-                    }
-                }
-            }
-            drop(map);
-            store.next_id.store(max_id, Ordering::Relaxed);
-        }
         Ok((store, report))
     }
 
@@ -333,13 +356,7 @@ impl SessionStore {
                 if map.contains_key(&id) {
                     return Err(ApiError::conflict(format!("session {id} already exists")));
                 }
-                map.insert(
-                    id,
-                    Slot {
-                        state: SlotState::Live(entry),
-                        touched: AtomicU64::new(self.now_ms()),
-                    },
-                );
+                map.insert(id, Slot::live(entry, self.now_ms()));
                 drop(map);
                 // Fresh auto-assigned ids must never collide with a
                 // pinned one.
@@ -354,10 +371,7 @@ impl SessionStore {
     pub fn insert(&self, session: Session, speedup: SpeedupSpec) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = live_entry(SessionEntry { session, speedup });
-        self.sessions.write_recover().insert(
-            id,
-            Slot { state: SlotState::Live(entry), touched: AtomicU64::new(self.now_ms()) },
-        );
+        self.sessions.write_recover().insert(id, Slot::live(entry, self.now_ms()));
         id
     }
 
@@ -385,52 +399,52 @@ impl SessionStore {
         self.restore_evicted(id)
     }
 
-    /// Slow path of [`SessionStore::get`]: re-checks under the write lock
-    /// (another thread may have restored concurrently), then loads the
-    /// checkpoint from disk.
+    /// Slow path of [`SessionStore::get`]: loads, CRC-checks, decodes and
+    /// resumes the session's checkpoint with no store lock held, then
+    /// re-takes the write lock and installs it only if the slot is still
+    /// the eviction it started from. A concurrent restore wins (its
+    /// entry is returned), a deletion answers 404, and a re-eviction in
+    /// between retries against the newer checkpoint, so a stale decode
+    /// never replaces acknowledged state. A bad file is quarantined and
+    /// its id unregistered only after that same re-check.
     fn restore_evicted(&self, id: u64) -> Result<Arc<OrderedMutex<SessionEntry>>, ApiError> {
-        let mut map = self.sessions.write_recover();
-        let slot =
-            map.get_mut(&id).ok_or_else(|| ApiError::not_found(format!("no session {id}")))?;
-        if let SlotState::Live(entry) = &slot.state {
-            return Ok(Arc::clone(entry));
-        }
+        let not_found = || ApiError::not_found(format!("no session {id}"));
         let archive = self
             .archive
             .as_ref()
             .ok_or_else(|| ApiError::new(500, "evicted session but no archive configured"))?;
-        let payload = match archive.load(id) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => {
-                map.remove(&id);
-                return Err(ApiError::new(
-                    500,
-                    format!("evicted session {id} is missing from the archive"),
-                ));
+        loop {
+            let eviction = match self.sessions.read_recover().get(&id).ok_or_else(not_found)? {
+                Slot { state: SlotState::Live(entry), .. } => return Ok(Arc::clone(entry)),
+                slot => slot.eviction,
+            };
+            let loaded = load_entry(archive, id);
+            let mut map = self.sessions.write_recover();
+            let slot = map.get_mut(&id).ok_or_else(not_found)?;
+            match &slot.state {
+                SlotState::Live(entry) => return Ok(Arc::clone(entry)),
+                SlotState::Evicted if slot.eviction != eviction => continue,
+                SlotState::Evicted => {}
             }
-            Err(e) => {
-                // Corrupt on disk: quarantine the file and unregister the
-                // id rather than failing this way forever.
-                archive.quarantine(id, &e.to_string());
-                map.remove(&id);
-                return Err(ApiError::new(
-                    500,
-                    format!("evicted session {id} could not be reloaded: {e}"),
-                ));
-            }
-        };
-        match entry_from_payload(&payload) {
-            Ok(entry) => {
-                let entry = live_entry(entry);
-                slot.state = SlotState::Live(Arc::clone(&entry));
-                slot.touched.store(self.now_ms(), Ordering::Relaxed);
-                Ok(entry)
-            }
-            Err(why) => {
-                archive.quarantine(id, &why);
-                map.remove(&id);
-                Err(ApiError::new(500, format!("evicted session {id} failed to resume: {why}")))
-            }
+            return match loaded {
+                Ok(entry) => {
+                    let entry = live_entry(entry);
+                    slot.state = SlotState::Live(Arc::clone(&entry));
+                    slot.touched.store(self.now_ms(), Ordering::Relaxed);
+                    Ok(entry)
+                }
+                Err((why, err)) => {
+                    // Corrupt, invalid or gone on disk: quarantine the file
+                    // and unregister the id rather than failing this way
+                    // forever. The write lock keeps a re-pinned id from
+                    // registering before the file has moved.
+                    if let Some(why) = why {
+                        archive.quarantine(id, &why);
+                    }
+                    map.remove(&id);
+                    Err(err)
+                }
+            };
         }
     }
 
@@ -467,11 +481,16 @@ impl SessionStore {
     /// Number of sessions currently resident in memory.
     #[must_use]
     pub fn live_len(&self) -> usize {
-        self.sessions
-            .read_recover()
-            .values()
-            .filter(|s| matches!(s.state, SlotState::Live(_)))
-            .count()
+        self.counts().0
+    }
+
+    /// `(live, evicted)` session counts, taken in one pass under one
+    /// read guard, so they always add up to the registered total.
+    #[must_use]
+    pub fn counts(&self) -> (usize, usize) {
+        let map = self.sessions.read_recover();
+        let live = map.values().filter(|s| matches!(s.state, SlotState::Live(_))).count();
+        (live, map.len() - live)
     }
 
     /// Ids of currently evicted sessions, ascending.
@@ -626,6 +645,7 @@ impl SessionStore {
                 };
                 if safe {
                     slot.state = SlotState::Evicted;
+                    slot.eviction = self.evictions.fetch_add(1, Ordering::Relaxed) + 1;
                     evicted += 1;
                 }
             }
@@ -891,9 +911,18 @@ mod tests {
             ..StoreConfig::default()
         })
         .unwrap();
+        // The frame is sound, so the restart registers the id...
+        assert_eq!(report.restored, vec![7]);
+        assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+        assert_eq!(store.ids(), vec![7]);
+        // ...and its first touch finds the document invalid.
+        let err = store.get(7).unwrap_err();
+        assert_eq!(err.status, 500);
+        assert!(err.message.contains("version"), "{}", err.message);
+        assert!(dir.join("quarantine").join("session-7.snap").exists());
+        assert!(!dir.join("session-7.snap").exists());
+        assert_eq!(store.get(7).unwrap_err().status, 404);
         assert!(store.is_empty());
-        assert_eq!(report.quarantined.len(), 1);
-        assert!(report.quarantined[0].1.contains("version"), "{:?}", report.quarantined);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

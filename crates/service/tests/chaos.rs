@@ -5,15 +5,18 @@
 //! explicit operation schedule — no timing races decide what breaks, so
 //! a failure reproduces from the seed alone. The suite covers the
 //! archive (torn writes, truncation at every framing boundary, bit
-//! flips, interrupted-write storms) and the server's connection handling
-//! (slow-loris stalls, oversized heads and bodies, resets mid-body,
-//! backlog shedding) plus the client's seeded retry backoff.
+//! flips, interrupted-write storms, corruption found at first touch) and
+//! the server's connection handling (slow-loris stalls, oversized heads
+//! and bodies, resets mid-body, backlog shedding) plus the client's
+//! seeded retry backoff. The one exception is the stress of lazy
+//! restores against eviction, whose interleavings vary run to run; the
+//! interleaving it guards against is also forced, through a FIFO.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use redistrib_service::archive::FRAME_HEADER_LEN;
@@ -122,6 +125,67 @@ fn archive_corruption_grid_quarantines_and_recovers() {
         std::fs::write(archive.path_for(2), &victim).unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Same-size corruption under a trusted manifest: the startup scan only
+/// stats the file, so the restart registers it, and its first touch
+/// meets the frame CRC. That touch answers 500 with the CRC reason (not
+/// "poisoned", which the router's breaker counts), quarantines the file
+/// and unregisters the id; no other session's snapshot changes.
+#[test]
+fn corrupt_in_place_snapshot_under_a_trusted_manifest_fails_at_first_touch() {
+    let dir = temp_dir("corrupt-in-place");
+    let archive = SnapshotArchive::open(&dir).unwrap();
+    for id in 1..=3 {
+        archive.store(id, &session_payload(id + 1)).unwrap();
+    }
+    archive.flush_manifest().unwrap();
+    let mut victim = std::fs::read(archive.path_for(2)).unwrap();
+    let flip_at = FRAME_HEADER_LEN + (victim.len() - FRAME_HEADER_LEN) / 2;
+    victim[flip_at] ^= 0x01;
+    std::fs::write(archive.path_for(2), &victim).unwrap();
+    let others = [1, 3].map(|id| (id, std::fs::read(archive.path_for(id)).unwrap()));
+
+    let cfg = ServiceConfig {
+        store: StoreConfig { archive: Some(archive), ..StoreConfig::default() },
+        ..ServiceConfig::default()
+    };
+    let (mut host, _store, report) = serve_with("127.0.0.1:0", cfg).unwrap();
+    let addr = host.addr();
+    assert_eq!(report.restored, vec![1, 2, 3]);
+    assert!(report.quarantined.is_empty(), "{report:?}");
+    let (status, body) = client::get(addr, "/v1/sessions").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let evicted: Vec<u64> = Json::parse(&body)
+        .unwrap()
+        .get("evicted")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(Json::as_u64)
+        .collect();
+    assert!(evicted.contains(&2), "{body}");
+
+    let (status, body) = client::get(addr, "/v1/sessions/2").unwrap();
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("crc mismatch"), "{body}");
+    assert!(!body.contains("poisoned"), "{body}");
+    assert!(dir.join("quarantine").join("session-2.snap").exists());
+    assert!(!dir.join("session-2.snap").exists());
+    let (status, body) = client::get(addr, "/v1/sessions/2").unwrap();
+    assert_eq!(status, 404, "{body}");
+
+    for (id, frame) in &others {
+        let (status, doc) =
+            client::post(addr, &format!("/v1/sessions/{id}/snapshot"), "").unwrap();
+        assert_eq!(status, 200, "{doc}");
+        assert_eq!(doc.as_bytes(), session_payload(id + 1), "session {id}");
+        let path = dir.join(format!("session-{id}.snap"));
+        assert_eq!(&std::fs::read(path).unwrap(), frame, "session {id}");
+    }
+    host.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_no_lock_cycles();
 }
 
 /// `write_all` retries through `ErrorKind::Interrupted`, so an
@@ -400,5 +464,128 @@ fn client_backoff_retries_gets_through_transient_503() {
     let (status, _) = c.post("/x", "payload").unwrap();
     assert_eq!(status, 503);
     assert_eq!(hits.load(Ordering::SeqCst), 1, "non-idempotent verbs never retry");
+    assert_no_lock_cycles();
+}
+
+/// Lazy restores racing idle eviction lose no acknowledged job. Each
+/// round starts with every session evicted; then several threads look
+/// up, lock and submit one job at a time to a shared set of sessions
+/// (two threads start on the same one, so their restores race) while
+/// the sweeper keeps evicting with a zero TTL. Every session must end
+/// with its initial jobs plus every submission acknowledged to it.
+#[test]
+fn concurrent_restores_and_evictions_lose_no_acknowledged_job() {
+    const SESSIONS: usize = 3;
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 20;
+    const SUBMITS: usize = 6;
+    let dir = temp_dir("restore-vs-evict");
+    let (store, _) = SessionStore::with_config(StoreConfig {
+        archive: Some(SnapshotArchive::open(&dir).unwrap()),
+        idle_ttl: Some(Duration::ZERO),
+        max_sessions: None,
+    })
+    .unwrap();
+    let spec = SessionSpec::from_json(&Json::parse(SPEC).unwrap()).unwrap();
+    let ids: Vec<u64> = (0..SESSIONS).map(|_| store.create(&spec).unwrap()).collect();
+    let acked: Vec<AtomicU64> = ids.iter().map(|_| AtomicU64::new(0)).collect();
+    let submitting = AtomicU64::new(0);
+    let (start, end) = (Barrier::new(THREADS + 1), Barrier::new(THREADS + 1));
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (store, spec, ids, acked) = (&store, &spec, &ids, &acked);
+            let (submitting, start, end) = (&submitting, &start, &end);
+            scope.spawn(move || {
+                for _ in 0..ROUNDS {
+                    start.wait();
+                    for i in 0..SUBMITS {
+                        let k = (t + i) % ids.len();
+                        let entry = store.get(ids[k]).unwrap();
+                        let mut guard = store.lock_entry(ids[k], &entry).unwrap();
+                        guard.session.submit(&spec.jobs[..1]).unwrap();
+                        acked[k].fetch_add(1, Ordering::SeqCst);
+                    }
+                    submitting.fetch_sub(1, Ordering::SeqCst);
+                    end.wait();
+                }
+            });
+        }
+        for _ in 0..ROUNDS {
+            let _ = store.evict_idle();
+            assert_eq!(store.counts(), (0, SESSIONS), "no handle is held between rounds");
+            submitting.store(THREADS as u64, Ordering::SeqCst);
+            start.wait();
+            while submitting.load(Ordering::SeqCst) > 0 {
+                let _ = store.evict_idle();
+            }
+            end.wait();
+        }
+    });
+    for (id, acked) in ids.iter().zip(&acked) {
+        let entry = store.get(*id).unwrap();
+        let jobs = entry.lock().unwrap().session.num_jobs();
+        let want = spec.jobs.len() + acked.load(Ordering::SeqCst) as usize;
+        assert_eq!(jobs, want, "session {id} lost acknowledged jobs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_no_lock_cycles();
+}
+
+/// The interleaving the restore's eviction re-check exists for, forced
+/// with a FIFO: one restore blocks reading the snapshot (its path is a
+/// FIFO the test feeds). Meanwhile the registry must stay usable: another
+/// restore installs the session, a job is acknowledged on it and the
+/// sweeper re-evicts it with a newer checkpoint. Fed the older
+/// checkpoint, the blocked restore must retry against the newer one
+/// rather than install its stale decode.
+#[cfg(unix)]
+#[test]
+fn a_restore_blocked_in_its_read_stalls_no_lookup_and_installs_the_newer_checkpoint() {
+    let dir = temp_dir("stale-restore");
+    let (store, _) = SessionStore::with_config(StoreConfig {
+        archive: Some(SnapshotArchive::open(&dir).unwrap()),
+        idle_ttl: Some(Duration::ZERO),
+        max_sessions: None,
+    })
+    .unwrap();
+    let spec = SessionSpec::from_json(&Json::parse(SPEC).unwrap()).unwrap();
+    let id = store.create(&spec).unwrap();
+    assert_eq!(store.evict_idle(), 1);
+    let path = dir.join(format!("session-{id}.snap"));
+    let frame = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let made = std::process::Command::new("mkfifo").arg(&path).status().unwrap();
+    assert!(made.success(), "mkfifo failed");
+    let submit = || {
+        let entry = store.get(id).unwrap();
+        store.lock_entry(id, &entry).unwrap().session.submit(&spec.jobs[..1]).unwrap();
+    };
+    std::thread::scope(|scope| {
+        let stale = scope.spawn(submit);
+        // Opening the write end waits for that restore to open the read
+        // end: from here on it is blocked reading the FIFO.
+        let mut feed = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let staged = dir.join("staged");
+        std::fs::write(&staged, &frame).unwrap();
+        std::fs::rename(&staged, &path).unwrap();
+        // A timeout rather than a hang if the registry is held across
+        // the blocked read.
+        let (done, finished) = std::sync::mpsc::channel();
+        scope.spawn(move || {
+            submit();
+            let _ = done.send(());
+        });
+        let unstalled = finished.recv_timeout(Duration::from_secs(10)).is_ok();
+        if unstalled {
+            assert_eq!(store.evict_idle(), 1);
+        }
+        feed.write_all(&frame).unwrap();
+        drop(feed);
+        stale.join().unwrap();
+        assert!(unstalled, "a restore blocked in its archive read stalled another lookup");
+    });
+    let entry = store.get(id).unwrap();
+    assert_eq!(entry.lock().unwrap().session.num_jobs(), spec.jobs.len() + 2);
+    let _ = std::fs::remove_dir_all(&dir);
     assert_no_lock_cycles();
 }

@@ -392,3 +392,44 @@ fn idle_ttl_evicts_to_disk_and_restores_on_next_access() {
     host.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A restart registers every archived session without decoding it:
+/// `/healthz` reports them all evicted, and one read restores just that
+/// one. The three counts always add up, since one read guard takes them.
+#[test]
+fn healthz_after_a_restart_counts_registered_sessions_as_evicted() {
+    let healthz = |addr| {
+        let (status, body) = client::get(addr, "/healthz").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let doc = Json::parse(&body).unwrap();
+        let count = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap();
+        (count("sessions"), count("live"), count("evicted"))
+    };
+    let dir = temp_dir("healthz-restart");
+    let n = 4;
+    {
+        let archive = SnapshotArchive::open(&dir).unwrap();
+        let (mut host, _store, _report) =
+            serve_with("127.0.0.1:0", durable_config(archive)).unwrap();
+        for _ in 0..n {
+            let (status, body) = client::post(host.addr(), "/v1/sessions", SPEC).unwrap();
+            assert_eq!(status, 201, "{body}");
+        }
+        let (status, body) = client::post(host.addr(), "/v1/admin/checkpoint", "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(healthz(host.addr()), (n, n, 0));
+        host.shutdown();
+    }
+
+    let archive = SnapshotArchive::open(&dir).unwrap();
+    let (mut host, _store, report) =
+        serve_with("127.0.0.1:0", durable_config(archive)).unwrap();
+    let addr = host.addr();
+    assert_eq!(report.restored, (1..=n).collect::<Vec<_>>());
+    assert_eq!(healthz(addr), (n, 0, n));
+    let (status, body) = client::get(addr, "/v1/sessions/2").unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(healthz(addr), (n, 1, n - 1));
+    host.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -78,9 +78,19 @@ fn unknown_versions_and_reference_sessions_are_rejected() {
         assert!(err.message.contains(needle), "{}", err.message);
     }
 
+    // The frames are sound, so the restart registers both ids; each
+    // first touch rejects its document, quarantines the file and
+    // unregisters the id.
     let (store, quarantined, dir) = recover("bad", &[&v3, &reference]);
+    assert!(quarantined.is_empty(), "{quarantined:?}");
+    assert_eq!(store.ids(), vec![1, 2]);
+    for (id, needle) in [(1, "version 3"), (2, "'reference_policies'")] {
+        let err = store.get(id).unwrap_err();
+        assert_eq!(err.status, 500);
+        assert!(err.message.contains(needle), "{}", err.message);
+        assert!(dir.join("quarantine").join(format!("session-{id}.snap")).exists());
+        assert_eq!(store.get(id).unwrap_err().status, 404);
+    }
     assert!(store.is_empty());
-    assert!(quarantined[0].1.contains("version 3"), "{quarantined:?}");
-    assert!(quarantined[1].1.contains("'reference_policies'"), "{quarantined:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
