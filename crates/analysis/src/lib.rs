@@ -66,6 +66,12 @@ pub const RULES: &[(&str, &str)] = &[
         "thread::sleep is banned in crates/service/src — a serving thread blocks on a socket or a \
          channel, so a stop wakes it at once",
     ),
+    (
+        "one-write-per-message",
+        "write_all( is banned in the HTTP data plane (http.rs, client.rs, pool.rs, router.rs, \
+         supervisor.rs in crates/service/src) — a message's head and body leave in one write \
+         through http::write_message",
+    ),
 ];
 
 /// One lint finding, displayed as `file:line rule message`.
@@ -592,6 +598,30 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
                         message: "`thread::sleep` in the service crate — block on a socket or \
                                   a channel (`recv_timeout`) so a stop wakes the thread at once; \
                                   a deliberate wait carries its reason in a `lint:allow`"
+                            .to_string(),
+                    });
+                }
+            }
+        }
+    }
+
+    if in_service_src(path)
+        && matches!(
+            file_name(&norm(path)),
+            "http.rs" | "client.rs" | "pool.rs" | "router.rs" | "supervisor.rs"
+        )
+    {
+        // `write_all(`.
+        for seg in &segs {
+            for w in seg.windows(2) {
+                if ident_in(&w[0], &["write_all"]).is_some() && punct(&w[1], '(') {
+                    out.push(Violation {
+                        file: norm(path),
+                        line: w[0].line,
+                        rule: "one-write-per-message",
+                        message: "`write_all` in the HTTP data plane — send a message's \
+                                  head and body in one write through `http::write_message`; a \
+                                  write per part doubles the syscalls of every message"
                             .to_string(),
                     });
                 }

@@ -90,6 +90,16 @@ fn fixture_sleep_in_service() {
 }
 
 #[test]
+fn fixture_one_write_per_message() {
+    assert_one_violation(
+        "write_all.rs",
+        "crates/service/src/client.rs",
+        8,
+        "one-write-per-message",
+    );
+}
+
+#[test]
 fn fixture_suppressed_is_clean() {
     let out = run_lint(&[
         "--file",
@@ -122,6 +132,7 @@ fn list_prints_every_rule() {
         "no-float-format-in-json",
         "no-raw-connect-in-router",
         "no-sleep-in-service",
+        "one-write-per-message",
     ] {
         assert!(stdout.contains(rule), "--list must mention {rule}");
     }

@@ -21,6 +21,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::faultio::XorShift64;
+use crate::http::write_message;
 
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -70,9 +71,9 @@ pub fn request_answer(
     timeout: Duration,
 ) -> io::Result<HttpAnswer> {
     let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    // The head and body go out as separate small writes; without nodelay
-    // Nagle parks the second behind the peer's delayed ACK (~40 ms per
-    // request, doubled through the router's proxy hop).
+    // A request is one write, but without nodelay Nagle can still park
+    // it behind the peer's delayed ACK of the segment before it (~40 ms,
+    // doubled through the router's proxy hop).
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
@@ -105,8 +106,10 @@ pub fn delete(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
     request(addr, "DELETE", path, None)
 }
 
+/// Writes one request, head and body in a single write
+/// ([`crate::http::write_message`]).
 pub(crate) fn send_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     addr: SocketAddr,
     method: &str,
     path: &str,
@@ -119,9 +122,7 @@ pub(crate) fn send_request(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         payload.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
-    stream.flush()
+    write_message(stream, head.as_bytes(), payload.as_bytes())
 }
 
 /// Reads one response off the wire, reporting whether *any* response

@@ -14,7 +14,11 @@
 //!   ([`HttpConfig::idle_timeout`]) and a read deadline once a request
 //!   has started arriving ([`HttpConfig::read_timeout`]); a stalled
 //!   mid-request read answers `408`, oversized heads answer `431`,
-//!   oversized bodies `413`;
+//!   oversized bodies `413`. The read deadline is armed only when a read
+//!   must wait on the socket, so a request that arrives whole costs no
+//!   deadline syscall;
+//! * **one write per message** — a response's head and body leave in
+//!   one vectored write, as do the client's requests;
 //! * **load shedding** — when all workers are busy and the accept
 //!   backlog ([`HttpConfig::backlog`]) is full, new connections get an
 //!   immediate `503` with `Retry-After` instead of waiting forever;
@@ -28,7 +32,7 @@
 //! wake it with one throwaway loopback connection, so neither a stop nor
 //! a new connection waits on a poll interval.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
@@ -267,15 +271,17 @@ fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
-/// Reads and parses one request. Generic over the reader so the chaos
-/// suite can drive it with fault-injected streams; when `sock` is given,
-/// the socket deadline is tightened from the idle to the read timeout as
-/// soon as the first request line has arrived.
+/// Reads and parses one request. Generic over the stream so the chaos
+/// suite can drive it with fault-injected readers. When `sock` is given,
+/// it carries the idle deadline on entry; once the request line is in,
+/// the deadline is tightened to the read timeout just before a read that
+/// must wait on the socket (the buffer lacks the next head line or the
+/// whole body), and restored before the request is returned.
 ///
 /// # Errors
 /// [`ReadError`] classifying how the connection misbehaved.
-pub fn read_request(
-    reader: &mut impl BufRead,
+pub fn read_request<R: Read>(
+    reader: &mut BufReader<R>,
     cfg: &HttpConfig,
     sock: Option<&TcpStream>,
 ) -> Result<Request, ReadError> {
@@ -309,15 +315,22 @@ pub fn read_request(
             ReadError::Malformed("truncated request line".into())
         });
     }
-    // A request is in flight: enforce the (longer) read deadline for the
-    // rest of the head and the body.
-    if let Some(s) = sock {
-        let _ = s.set_read_timeout(Some(cfg.read_timeout));
-    }
+    // A request is in flight: a read that must wait on the socket for the
+    // rest of the head or the body runs under the read deadline.
+    let mut armed = false;
+    let mut before_read = |buffered: bool| {
+        if !buffered && !armed {
+            armed = true;
+            if let Some(s) = sock {
+                let _ = s.set_read_timeout(Some(cfg.read_timeout));
+            }
+        }
+    };
 
     let mut head = request_line;
     loop {
         let mut line = Vec::new();
+        before_read(reader.buffer().contains(&b'\n'));
         let budget = cfg.max_head_bytes.saturating_sub(head.len());
         let n =
             reader.by_ref().take(budget as u64).read_until(b'\n', &mut line).map_err(|e| {
@@ -379,6 +392,7 @@ pub fn read_request(
     if content_length > cfg.max_body_bytes {
         return Err(ReadError::BodyTooLarge);
     }
+    before_read(reader.buffer().len() >= content_length);
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| {
         if is_timeout(&e) {
@@ -394,6 +408,10 @@ pub fn read_request(
             ReadError::Io(e)
         }
     })?;
+    // Back to idle for the next request, if this one moved the deadline.
+    if let Some(s) = sock.filter(|_| armed) {
+        let _ = s.set_read_timeout(Some(cfg.idle_timeout));
+    }
     Ok(Request { method, path, query, body, close })
 }
 
@@ -420,8 +438,29 @@ fn write_response(
     } else {
         "Connection: close\r\n\r\n"
     });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
+    write_message(stream, head.as_bytes(), &resp.body)
+}
+
+/// Sends one HTTP message, head and body, in one vectored write, so a
+/// message costs one syscall and leaves as one segment, and the body is
+/// never copied. A partial or `Interrupted` write is finished here.
+pub(crate) fn write_message(
+    stream: &mut impl Write,
+    mut head: &[u8],
+    mut body: &[u8],
+) -> io::Result<()> {
+    while !head.is_empty() || !body.is_empty() {
+        match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                let from_head = n.min(head.len());
+                head = &head[from_head..];
+                body = &body[n - from_head..];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -432,14 +471,16 @@ fn serve_connection<F>(stream: &TcpStream, cfg: &HttpConfig, closing: &AtomicBoo
 where
     F: Fn(&Request) -> Response,
 {
+    // Between requests the connection is idle: the idle deadline stays
+    // in force, and `read_request` tightens it only while a request must
+    // wait on the socket.
+    let _ = stream.set_read_timeout(Some(cfg.idle_timeout));
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut served: u64 = 0;
     loop {
-        // Between requests the connection is idle: use the idle deadline.
-        let _ = stream.set_read_timeout(Some(cfg.idle_timeout));
         let (resp, keep) = match read_request(&mut reader, cfg, Some(stream)) {
             Ok(req) => {
                 served += 1;
@@ -507,17 +548,15 @@ impl ConnRegistry {
 /// Sheds one connection with a canned `503 Retry-After` (used by the
 /// acceptor when the worker backlog is full). Best-effort and bounded by
 /// a short write timeout so a slow peer cannot stall accepting.
-fn shed(stream: &TcpStream) {
-    const BODY: &str = r#"{"error":"server overloaded, retry later"}"#;
+fn shed(mut stream: &TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let resp = format!(
-        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{BODY}",
-        BODY.len(),
-    );
-    let mut stream = stream;
-    let _ = stream.write_all(resp.as_bytes());
+    let _ = write_response(&mut stream, &overloaded(), false);
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// The canned answer of [`shed`].
+fn overloaded() -> Response {
+    Response::from(ApiError::unavailable("server overloaded, retry later", 1))
 }
 
 /// Wakes an acceptor blocked in `accept` with one throwaway connection
@@ -641,9 +680,9 @@ impl HttpServer {
                     break;
                 }
                 let Ok((stream, _)) = accepted else { continue };
-                // Responses are written head-then-body; nodelay keeps
-                // Nagle from stalling the body behind the client's
-                // delayed ACK.
+                // A response is one write, but nodelay still keeps a
+                // keep-alive exchange from waiting on the client's
+                // delayed ACK of the segment before it.
                 let _ = stream.set_nodelay(true);
                 match tx.try_send(stream) {
                     Ok(()) => {}
@@ -717,6 +756,106 @@ mod tests {
             assert_eq!(body, payload);
         }
         server.shutdown();
+    }
+
+    /// A `Write` double that counts write calls and takes at most `chunk`
+    /// bytes per call, failing its first call with `Interrupted` when
+    /// `interrupt` is set.
+    struct Wire {
+        bytes: Vec<u8>,
+        calls: usize,
+        chunk: usize,
+        interrupt: bool,
+    }
+
+    impl Wire {
+        fn new(chunk: usize, interrupt: bool) -> Self {
+            Self { bytes: Vec::new(), calls: 0, chunk, interrupt }
+        }
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if std::mem::take(&mut self.interrupt) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.chunk - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write_with_unchanged_bytes() {
+        let resp = Response::text(200, "ok").with_header("Retry-After", "1");
+        let mut wire = Wire::new(usize::MAX, false);
+        write_response(&mut wire, &resp, true).unwrap();
+        assert_eq!(wire.calls, 1, "a response is one write");
+        assert_eq!(
+            String::from_utf8(wire.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 2\r\n\
+             Retry-After: 1\r\nConnection: keep-alive\r\n\r\nok"
+        );
+
+        let mut wire = Wire::new(usize::MAX, false);
+        let addr = "127.0.0.1:8177".parse().unwrap();
+        client::send_request(
+            &mut wire,
+            addr,
+            "POST",
+            "/v1/s/1/step",
+            Some(r#"{"count":4}"#),
+            false,
+        )
+        .unwrap();
+        assert_eq!(wire.calls, 1, "a request is one write");
+        assert_eq!(
+            String::from_utf8(wire.bytes).unwrap(),
+            "POST /v1/s/1/step HTTP/1.1\r\nHost: 127.0.0.1:8177\r\nContent-Length: 11\r\n\
+             Connection: keep-alive\r\n\r\n{\"count\":4}"
+        );
+
+        // The acceptor's canned shed answer keeps its bytes too.
+        let mut wire = Wire::new(usize::MAX, false);
+        write_response(&mut wire, &overloaded(), false).unwrap();
+        assert_eq!(
+            String::from_utf8(wire.bytes).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 42\r\nRetry-After: 1\r\nConnection: close\r\n\r\n\
+             {\"error\":\"server overloaded, retry later\"}"
+        );
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_deliver_exactly_head_and_body() {
+        // Sends one message twice: to a wire that takes everything, and to
+        // one that is interrupted once and then takes 3 bytes per call.
+        fn trickle(send: impl Fn(&mut Wire) -> io::Result<()>) {
+            let mut whole = Wire::new(usize::MAX, false);
+            let mut trickle = Wire::new(3, true);
+            send(&mut whole).unwrap();
+            send(&mut trickle).unwrap();
+            assert_eq!(trickle.bytes, whole.bytes);
+            // Chunks run across the head/body boundary.
+            assert_eq!(trickle.calls, 1 + whole.bytes.len().div_ceil(3));
+        }
+        let resp = Response::text(200, "a body longer than one chunk");
+        trickle(|w| write_response(w, &resp, true));
+        let addr = "127.0.0.1:8177".parse().unwrap();
+        trickle(|w| client::send_request(w, addr, "POST", "/x", Some(r#"{"count":4}"#), false));
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //! * **Idle reaping.** [`ConnectionPool::reap_idle`] (called from the
 //!   router's probe tick) drops connections idle past
 //!   [`PoolConfig::idle_max`], ahead of the backend's own idle timeout.
+//! * **Deadlines on change.** Each connection remembers the deadline last
+//!   applied to it, so a caller re-using it with the same timeout pays no
+//!   `setsockopt`; a different timeout is applied before the request.
 //!
 //! The shelf map sits behind one [`OrderedMutex`] at
 //! [`rank::BACKEND_POOL`], held only for map surgery — never across
@@ -67,10 +70,32 @@ impl Default for PoolConfig {
     }
 }
 
+/// A pooled connection and the read/write deadline last applied to it
+/// (`None` until its first request).
+#[derive(Debug)]
+struct Conn {
+    io: BufReader<TcpStream>,
+    deadline: Option<Duration>,
+}
+
+impl Conn {
+    /// Makes `timeout` the read and write deadline, with no syscall when
+    /// it already is.
+    fn set_deadline(&mut self, timeout: Duration) -> io::Result<()> {
+        if self.deadline != Some(timeout) {
+            let stream = self.io.get_ref();
+            stream.set_read_timeout(Some(timeout))?;
+            stream.set_write_timeout(Some(timeout))?;
+            self.deadline = Some(timeout);
+        }
+        Ok(())
+    }
+}
+
 /// One parked keep-alive connection.
 #[derive(Debug)]
 struct Idle {
-    conn: BufReader<TcpStream>,
+    conn: Conn,
     since: Instant,
 }
 
@@ -99,7 +124,7 @@ pub struct ConnectionPool {
 /// return or discard it correctly.
 #[derive(Debug)]
 struct Checkout {
-    conn: BufReader<TcpStream>,
+    conn: Conn,
     epoch: u64,
     reused: bool,
 }
@@ -189,14 +214,12 @@ impl ConnectionPool {
         body: Option<&str>,
         timeout: Duration,
     ) -> Result<HttpAnswer, (bool, io::Error)> {
-        let stream = checkout.conn.get_mut();
-        let apply_deadline = stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)));
-        let (got_bytes, outcome) = match apply_deadline.and_then(|()| {
-            send_request(checkout.conn.get_mut(), addr, method, path, body, false)
-        }) {
-            Ok(()) => read_response_probed(&mut checkout.conn),
+        let conn = &mut checkout.conn;
+        let (got_bytes, outcome) = match conn
+            .set_deadline(timeout)
+            .and_then(|()| send_request(conn.io.get_mut(), addr, method, path, body, false))
+        {
+            Ok(()) => read_response_probed(&mut conn.io),
             Err(e) => (false, Err(e)),
         };
         match outcome {
@@ -247,7 +270,8 @@ impl ConnectionPool {
         match Self::dial(addr, timeout) {
             Ok(stream) => {
                 self.opened.fetch_add(1, Ordering::Relaxed);
-                Ok(Checkout { conn: BufReader::new(stream), epoch, reused: false })
+                let conn = Conn { io: BufReader::new(stream), deadline: None };
+                Ok(Checkout { conn, epoch, reused: false })
             }
             Err(e) => {
                 self.discard(addr, epoch);
@@ -258,8 +282,9 @@ impl ConnectionPool {
 
     fn dial(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        // Head and body go out as separate small writes; see
-        // `client::request_answer` for why nodelay matters double here.
+        // A request is one write, but nodelay still keeps a keep-alive
+        // exchange from waiting on a delayed ACK; see
+        // `client::request_answer` for why that matters double here.
         let _ = stream.set_nodelay(true);
         Ok(stream)
     }
@@ -325,6 +350,7 @@ impl ConnectionPool {
 mod tests {
     use super::*;
     use crate::http::{HttpConfig, HttpServer, Response};
+    use std::io::{BufRead, Write};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -403,6 +429,42 @@ mod tests {
         assert!(err.kind() != io::ErrorKind::WouldBlock);
         assert_eq!(pool.idle_count(addr), 0);
         assert_eq!(pool.outstanding_count(addr), 0);
+    }
+
+    #[test]
+    fn a_changed_deadline_is_applied_to_a_reused_connection() {
+        // A peer that answers the first request, then reads the second
+        // and never answers it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let read_head = |reader: &mut BufReader<TcpStream>| {
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                    line.clear();
+                }
+            };
+            read_head(&mut reader);
+            reader
+                .get_mut()
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+                .unwrap();
+            read_head(&mut reader);
+            let _ = released.recv();
+        });
+        let pool = ConnectionPool::new(PoolConfig::default());
+        let ans = pool.request(addr, "GET", "/one", None, Duration::from_secs(10)).unwrap();
+        assert_eq!(ans.status, 200);
+        let t0 = Instant::now();
+        let err =
+            pool.request(addr, "GET", "/two", None, Duration::from_millis(200)).unwrap_err();
+        assert!(t0.elapsed() < Duration::from_secs(1), "waited {:?}: {err}", t0.elapsed());
+        assert_eq!(pool.connections_opened(), 1, "the second request reused the connection");
+        drop(release);
+        peer.join().unwrap();
     }
 
     #[test]

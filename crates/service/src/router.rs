@@ -137,8 +137,9 @@ fn path_with_query(req: &Request, extra: Option<(&str, String)>) -> String {
 }
 
 /// Converts a parsed backend answer back into a router response,
-/// preserving status, content type, and `Retry-After`.
-fn answer_to_response(ans: &HttpAnswer) -> Response {
+/// preserving status, content type, and `Retry-After`. The body moves
+/// across, uncopied.
+fn answer_to_response(ans: HttpAnswer) -> Response {
     let ct = ans.content_type.as_deref().unwrap_or("application/json");
     let content_type: &'static str = if ct.starts_with("text/csv") {
         "text/csv; charset=utf-8"
@@ -151,7 +152,7 @@ fn answer_to_response(ans: &HttpAnswer) -> Response {
         status: ans.status,
         content_type,
         headers: Vec::new(),
-        body: ans.body.clone().into_bytes(),
+        body: ans.body.into_bytes(),
     };
     if let Some(secs) = ans.retry_after {
         resp = resp.with_header("Retry-After", secs.to_string());
@@ -178,7 +179,7 @@ fn proxy(
             if ans.status == 500 && ans.body.contains("poisoned") {
                 state.supervisor.report_failure(backend);
             }
-            answer_to_response(&ans)
+            answer_to_response(ans)
         }
         // Pool at capacity: the backend is alive but every connection
         // is busy. Shed without counting toward the breaker — tripping

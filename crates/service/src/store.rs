@@ -619,35 +619,34 @@ impl SessionStore {
 
         let mut evicted = 0;
         for (id, entry) in candidates {
+            // Evict only if the slot still holds this exact entry, nobody
+            // else has a handle (map + ours = 2), and no access slipped in
+            // since the candidate scan.
+            let evictable = |slot: &Slot| {
+                matches!(&slot.state, SlotState::Live(current) if Arc::ptr_eq(current, &entry))
+                    && Arc::strong_count(&entry) == 2
+                    && stale(&slot.touched)
+            };
             // Holding the entry guard across the checkpoint write pins the
             // exact state that lands on disk; only that session's traffic
             // waits. A try-lock (never blocking) is what keeps the
-            // session-held → registry-write acquisition below legal: no
+            // session-held → registry acquisitions below legal: no
             // waiting edge back into rank `session` can exist. Poisoned
             // entries are skipped — quarantining is the request path's
             // call, not the sweeper's.
             let Ok(Some(guard)) = entry.try_lock() else { continue };
-            if archive.store(id, &guard.snapshot_payload()).is_err() {
+            // A session that fails the check now is not worth a checkpoint
+            // write. The check is repeated under the write lock, where it
+            // decides; the read guard is gone before the write.
+            let still_idle = self.sessions.read_recover().get(&id).is_some_and(evictable);
+            if !still_idle || archive.store(id, &guard.snapshot_payload()).is_err() {
                 continue;
             }
             let mut map = self.sessions.write_recover();
-            if let Some(slot) = map.get_mut(&id) {
-                // Evict only if the slot still holds this exact entry,
-                // nobody else has a handle (map + ours = 2), and no access
-                // slipped in since the candidate scan.
-                let safe = match &slot.state {
-                    SlotState::Live(current) => {
-                        Arc::ptr_eq(current, &entry)
-                            && Arc::strong_count(&entry) == 2
-                            && stale(&slot.touched)
-                    }
-                    SlotState::Evicted => false,
-                };
-                if safe {
-                    slot.state = SlotState::Evicted;
-                    slot.eviction = self.evictions.fetch_add(1, Ordering::Relaxed) + 1;
-                    evicted += 1;
-                }
+            if let Some(slot) = map.get_mut(&id).filter(|slot| evictable(slot)) {
+                slot.state = SlotState::Evicted;
+                slot.eviction = self.evictions.fetch_add(1, Ordering::Relaxed) + 1;
+                evicted += 1;
             }
         }
         evicted
@@ -861,6 +860,27 @@ mod tests {
         assert_eq!(store.evict_idle(), 0, "a held handle must block eviction");
         drop(held);
         assert_eq!(store.evict_idle(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eviction_writes_no_checkpoint_for_a_session_it_would_skip() {
+        let dir = temp_dir("evict-no-write");
+        let plan = Arc::new(crate::FaultPlan::new());
+        let (store, _) = SessionStore::with_config(StoreConfig {
+            archive: Some(SnapshotArchive::open_with_faults(&dir, Arc::clone(&plan)).unwrap()),
+            idle_ttl: Some(Duration::ZERO),
+            max_sessions: None,
+        })
+        .unwrap();
+        let id = store.create(&demo_spec()).unwrap();
+        let held = store.get(id).unwrap();
+        let writes = plan.writes_seen();
+        assert_eq!(store.evict_idle(), 0, "a held handle must block eviction");
+        assert_eq!(plan.writes_seen(), writes, "a skipped eviction must not write");
+        drop(held);
+        assert_eq!(store.evict_idle(), 1);
+        assert_eq!(plan.writes_seen(), writes + 1, "an eviction writes one checkpoint");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

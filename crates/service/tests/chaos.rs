@@ -17,7 +17,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use redistrib_service::archive::FRAME_HEADER_LEN;
 use redistrib_service::http::HttpConfig;
@@ -307,6 +307,52 @@ fn slow_loris_mid_request_gets_408() {
     // And the server is still healthy afterwards.
     let out = raw_roundtrip(&server, b"GET /x HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
     assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+}
+
+/// The read deadline is armed only when a request must wait on the
+/// socket, and the idle deadline comes back after it. With a 5 s idle
+/// and a 250 ms read deadline, a request stalled mid-body or mid-head
+/// gets `408` well before the idle deadline, and a keep-alive connection
+/// idle for longer than the read deadline still serves its next request.
+#[test]
+fn read_deadline_covers_stalls_mid_request_and_idle_deadline_covers_gaps() {
+    let cfg = HttpConfig {
+        workers: 1,
+        idle_timeout: Duration::from_secs(5),
+        read_timeout: Duration::from_millis(250),
+        ..HttpConfig::default()
+    };
+    let server = echo_server(cfg);
+    for stalled in [
+        &b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"[..],
+        b"POST /x HTTP/1.1\r\nContent-Le",
+    ] {
+        let t0 = Instant::now();
+        let out = raw_roundtrip(&server, stalled);
+        assert!(out.starts_with("HTTP/1.1 408"), "{out}");
+        assert!(t0.elapsed() < Duration::from_secs(2), "408 after {:?}", t0.elapsed());
+    }
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut exchange = |parts: &[&[u8]], expect: &[u8]| {
+        for part in parts {
+            stream.write_all(part).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let mut got = Vec::new();
+        let mut buf = [0u8; 256];
+        while !got.ends_with(expect) {
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "connection closed before {:?}", String::from_utf8_lossy(expect));
+            got.extend_from_slice(&buf[..n]);
+        }
+    };
+    // The body arrives after the head, so this request arms the read
+    // deadline; it must be back at idle once the request is in.
+    exchange(&[b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n\r\n", b"abc"], b"len:3");
+    std::thread::sleep(Duration::from_millis(600));
+    exchange(&[b"GET /x HTTP/1.1\r\nContent-Length: 0\r\n\r\n"], b"len:0");
 }
 
 /// An idle connection that never sends anything is closed silently — it
