@@ -38,7 +38,7 @@
 //!
 //! Usage:
 //! `cargo run --release -p redistrib-bench --bin benchcmp -- \
-//!     --baseline BENCH_PR3.json --fresh bench-ci.json [--min-ratio 0.9] \
+//!     --baseline BENCH_PR10.json --fresh bench-ci.json [--min-ratio 0.9] \
 //!     [--normalize engine_loop_] [--write-baseline rolling.json]`
 
 use std::collections::BTreeMap;

@@ -1,12 +1,12 @@
 //! Quick-profile harness: times the simulator's hot paths end to end and
 //! emits one JSON record per scenario.
 //!
-//! Unlike the criterion suites (statistical, slow), this binary is meant for
-//! before/after comparisons across PRs: it runs each scenario under a small
-//! wall-clock budget and prints `{"scenarios": {name: {mean_seconds,
-//! iters}}}` to stdout (or `--out FILE`). `BENCH_*.json` records in the
-//! repository root are produced by running it on both sides of a change and
-//! merging the two outputs (see README "Performance").
+//! It is meant for before/after comparisons across changes: it runs each
+//! scenario under a small wall-clock budget and prints `{"scenarios":
+//! {name: {mean_seconds, iters}}}` to stdout (or `--out FILE`).
+//! `BENCH_*.json` records in the repository root are produced by running it
+//! on both sides of a change and merging the two outputs (see README
+//! "Performance").
 //!
 //! Usage: `cargo run --release -p redistrib-bench --bin perf [-- --out FILE]
 //! [--budget SECONDS] [--only SUBSTRING]`

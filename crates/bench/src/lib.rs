@@ -1,10 +1,10 @@
-//! Shared fixtures for the `redistrib` benchmark suite.
+//! Shared fixtures for the `perf` and `detprobe` binaries.
 
 #![warn(clippy::all)]
 
 use std::sync::Arc;
 
-use redistrib_model::{PaperModel, Platform, TaskSpec, TimeCalc, Workload};
+use redistrib_model::{PaperModel, Platform, TaskSpec, Workload};
 use redistrib_sim::rng::Xoshiro256;
 use redistrib_sim::units;
 
@@ -17,31 +17,20 @@ pub fn paper_workload(n: usize, seed: u64) -> Workload {
     Workload::new(tasks, Arc::new(PaperModel::default()))
 }
 
-/// A platform with the paper's default per-processor MTBF (100 years).
-#[must_use]
-pub fn paper_platform(p: u32) -> Platform {
-    Platform::with_mtbf(p, units::years(100.0))
-}
-
 /// A platform with a configurable MTBF in years.
 #[must_use]
 pub fn platform_with_mtbf(p: u32, mtbf_years: f64) -> Platform {
     Platform::with_mtbf(p, units::years(mtbf_years))
 }
 
-/// Fault-aware calculator at paper defaults.
-#[must_use]
-pub fn fault_calc(n: usize, p: u32, seed: u64) -> TimeCalc {
-    TimeCalc::new(paper_workload(n, seed), paper_platform(p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redistrib_model::TimeCalc;
 
     #[test]
     fn fixtures_build() {
-        let calc = fault_calc(10, 100, 1);
+        let calc = TimeCalc::new(paper_workload(10, 1), platform_with_mtbf(100, 100.0));
         assert_eq!(calc.num_tasks(), 10);
         assert!(calc.remaining(0, 4, 1.0) > 0.0);
     }

@@ -6,15 +6,20 @@
 //!   one request per connection with `Connection: close` — small enough to
 //!   double as a reference for driving the service from any language.
 //!   [`request_answer`] is the same one-shot call with an explicit
-//!   deadline and the full parsed [`HttpAnswer`]; the router's proxy and
-//!   the supervisor's health probes are built on it.
-//! * [`Client`] holds a keep-alive connection open across requests,
-//!   applies a per-request deadline, and retries **idempotent GETs only**
-//!   with seeded exponential backoff plus jitter — so retry schedules in
-//!   tests and benches are reproducible. When a `503`/`429` answer
-//!   carries a `Retry-After` header, the client honors the server's hint
-//!   instead of its own exponential schedule, capped at
-//!   [`ClientConfig::backoff_max`].
+//!   deadline and the full parsed [`HttpAnswer`]. A one-shot request is
+//!   never resent.
+//! * [`Client`] sends every request through a private [`ConnectionPool`]
+//!   for its one address, as the router's proxy and the supervisor's
+//!   probes do: a keep-alive connection is reused across requests, and a
+//!   stale one is resent under the pool's rule. On top of that it applies
+//!   a per-request deadline and retries **idempotent GETs only** with
+//!   seeded exponential backoff plus jitter — so retry schedules in tests
+//!   and benches are reproducible. When a `503`/`429` answer carries a
+//!   `Retry-After` header, the client honors the server's hint instead of
+//!   its own exponential schedule, capped at [`ClientConfig::backoff_max`].
+//!
+//! The request writer and response parser here are the codec both tiers
+//! and the pool share.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -22,6 +27,7 @@ use std::time::Duration;
 
 use crate::faultio::XorShift64;
 use crate::http::write_message;
+use crate::pool::{ConnectionPool, PoolConfig};
 
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -125,33 +131,6 @@ pub(crate) fn send_request(
     write_message(stream, head.as_bytes(), payload.as_bytes())
 }
 
-/// Reads one response off the wire, reporting whether *any* response
-/// bytes arrived before the outcome was decided. The distinction drives
-/// resend safety on pooled connections: a keep-alive connection the
-/// server closed while idle yields zero bytes (the request was never
-/// processed — resending is safe even for a POST), whereas a connection
-/// that died mid-response may have committed the request's effects.
-pub(crate) fn read_response_probed(
-    reader: &mut BufReader<TcpStream>,
-) -> (bool, io::Result<HttpAnswer>) {
-    match reader.fill_buf() {
-        Ok([]) => {
-            (false, Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed")))
-        }
-        Ok(_) => (true, read_response(reader)),
-        Err(e) => (false, Err(e)),
-    }
-}
-
-/// Whether resending `method` after a stale-connection failure is safe.
-/// GET and DELETE are idempotent — always safe. POST (create,
-/// checkpoint, admin actions) is safe only when the failure arrived
-/// before any response byte: the server either never saw the request or
-/// closed the connection without starting to answer it.
-pub(crate) fn resend_safe(method: &str, got_response_bytes: bool) -> bool {
-    matches!(method, "GET" | "DELETE") || !got_response_bytes
-}
-
 /// Reads one response off the wire.
 pub(crate) fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<HttpAnswer> {
     let mut status_line = String::new();
@@ -215,7 +194,7 @@ pub(crate) fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<Htt
 /// Tunables for [`Client`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Per-request read/write deadline.
+    /// Per-request connect, read and write deadline.
     pub timeout: Duration,
     /// Retry attempts (beyond the first try) for idempotent GETs.
     pub retries: u32,
@@ -245,7 +224,8 @@ impl Default for ClientConfig {
 
 /// A keep-alive HTTP client bound to one server address.
 ///
-/// The connection is opened lazily, reused across requests, and
+/// Requests go through a private [`ConnectionPool`] for that address: the
+/// connection is opened lazily, reused across requests, and
 /// re-established transparently when the server closes it (request caps,
 /// idle timeouts, restarts). [`Client::get`] retries on socket errors,
 /// `503`, and `429` with seeded exponential backoff — honoring the
@@ -255,8 +235,7 @@ impl Default for ClientConfig {
 pub struct Client {
     addr: SocketAddr,
     cfg: ClientConfig,
-    conn: Option<BufReader<TcpStream>>,
-    opened: u64,
+    pool: ConnectionPool,
     rng: XorShift64,
 }
 
@@ -271,82 +250,26 @@ impl Client {
     #[must_use]
     pub fn with_config(addr: SocketAddr, cfg: ClientConfig) -> Self {
         let rng = XorShift64::new(cfg.seed);
-        Self { addr, cfg, conn: None, opened: 0, rng }
+        Self { addr, cfg, pool: ConnectionPool::new(PoolConfig::default()), rng }
     }
 
     /// Connections this client has opened so far (observability for
     /// tests asserting keep-alive reuse).
     #[must_use]
     pub fn connections_opened(&self) -> u64 {
-        self.opened
-    }
-
-    fn connect(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            let _ = stream.set_nodelay(true);
-            stream.set_read_timeout(Some(self.cfg.timeout))?;
-            stream.set_write_timeout(Some(self.cfg.timeout))?;
-            self.opened += 1;
-            self.conn = Some(BufReader::new(stream));
-        }
-        Ok(self.conn.as_mut().unwrap())
+        self.pool.connections_opened()
     }
 
     /// One request on the kept-alive connection, no retries. A stale
-    /// failure on a *reused* connection is transparently resent once on a
-    /// fresh connection when resending is safe ([`resend_safe`]): always
-    /// for idempotent GET/DELETE, and for POST only when the failure
-    /// arrived before any response byte — the server closed the idle
-    /// connection under us without processing the request. A POST that
-    /// died mid-response surfaces the error instead (its effects may have
-    /// been committed).
+    /// reused connection is resent once, when the pool's rule says that
+    /// is safe (see the [`crate::pool`] module docs).
     fn request_once(
-        &mut self,
+        &self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> io::Result<HttpAnswer> {
-        let reused = self.conn.is_some();
-        let (got_bytes, result) = self.request_on_conn(method, path, body);
-        match result {
-            Err(ref e) if reused && is_stale(e) && resend_safe(method, got_bytes) => {
-                self.conn = None;
-                self.request_on_conn(method, path, body).1
-            }
-            other => other,
-        }
-    }
-
-    fn request_on_conn(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> (bool, io::Result<HttpAnswer>) {
-        let addr = self.addr;
-        let reader = match self.connect() {
-            Ok(reader) => reader,
-            Err(e) => return (false, Err(e)),
-        };
-        let (got_bytes, sent) =
-            match send_request(reader.get_mut(), addr, method, path, body, false) {
-                Ok(()) => read_response_probed(reader),
-                Err(e) => (false, Err(e)),
-            };
-        let outcome = match sent {
-            Ok(ans) => {
-                if ans.close {
-                    self.conn = None;
-                }
-                Ok(ans)
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
-        };
-        (got_bytes, outcome)
+        self.pool.request(self.addr, method, path, body, self.cfg.timeout)
     }
 
     /// The sleep before retry number `attempt` (0-based): the server's
@@ -416,18 +339,6 @@ impl Client {
     pub fn delete(&mut self, path: &str) -> io::Result<(u16, String)> {
         self.request_once("DELETE", path, None).map(|ans| (ans.status, ans.body))
     }
-}
-
-/// Errors consistent with "the server closed the idle keep-alive
-/// connection between our requests".
-pub(crate) fn is_stale(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::BrokenPipe
-    )
 }
 
 #[cfg(test)]
@@ -503,17 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn resend_safety_is_method_and_bytes_aware() {
-        // Idempotent verbs are always safe to resend.
-        assert!(resend_safe("GET", true));
-        assert!(resend_safe("GET", false));
-        assert!(resend_safe("DELETE", true));
-        // POST is safe only before the first response byte.
-        assert!(resend_safe("POST", false));
-        assert!(!resend_safe("POST", true));
-    }
-
-    #[test]
     fn stale_idle_connection_resends_post_when_no_bytes_received() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -570,6 +470,39 @@ mod tests {
         let err = client.post("/two", "{}").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(client.connections_opened(), 1, "no transparent resend");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn get_that_died_mid_response_is_resent_once_and_succeeds() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (a, _) = listener.accept().unwrap();
+            let mut a = BufReader::new(a);
+            read_request(&mut a).unwrap();
+            a.get_mut()
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirst")
+                .unwrap();
+            // Second request on the same connection: start answering,
+            // then die mid-head.
+            read_request(&mut a).unwrap();
+            a.get_mut().write_all(b"HTTP/1.1 200 OK\r\nContent-Le").unwrap();
+            drop(a);
+            // Second connection: the resent GET.
+            let (b, _) = listener.accept().unwrap();
+            let mut b = BufReader::new(b);
+            read_request(&mut b).unwrap();
+            b.get_mut()
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nsecond")
+                .unwrap();
+        });
+        let mut client = Client::new(addr);
+        assert_eq!(client.get_once("/one").unwrap(), (200, "first".to_string()));
+        // Response bytes arrived before the connection died, but a GET is
+        // idempotent: it is resent once, on a fresh connection.
+        assert_eq!(client.get_once("/two").unwrap(), (200, "second".to_string()));
+        assert_eq!(client.connections_opened(), 2, "exactly one transparent resend");
         server.join().unwrap();
     }
 

@@ -394,16 +394,11 @@ pub fn read_request<R: Read>(
     }
     before_read(reader.buffer().len() >= content_length);
     let mut body = vec![0u8; content_length];
+    // A peer that reset or vanished mid-body is an `Io` error too: nobody is
+    // listening for an answer.
     reader.read_exact(&mut body).map_err(|e| {
         if is_timeout(&e) {
             ReadError::TimedOut
-        } else if matches!(
-            e.kind(),
-            io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset
-        ) {
-            // Peer reset or vanished mid-body; nobody is listening for an
-            // answer.
-            ReadError::Io(e)
         } else {
             ReadError::Io(e)
         }

@@ -18,7 +18,9 @@
 //!   retries exactly once on a *freshly dialed* connection (every other
 //!   idle connection to that backend is just as dead) — and only when
 //!   resending is safe: always for GET/DELETE, for POST only when zero
-//!   response bytes arrived ([`crate::client`]'s resend rule).
+//!   response bytes arrived. This module owns that rule;
+//!   [`Client`](crate::client::Client) is a single-address user of the
+//!   pool and resends through it.
 //! * **Flush on death.** Breaker trips, retire, and failover call
 //!   [`ConnectionPool::flush`] for the dead backend's address: idle
 //!   connections are dropped and the shelf's *epoch* is bumped, so
@@ -42,12 +44,12 @@
 //! proxy call counting toward the breaker exactly once.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::client::{is_stale, read_response_probed, resend_safe, send_request, HttpAnswer};
+use crate::client::{read_response, send_request, HttpAnswer};
 use crate::sync::{rank, OrderedMutex};
 
 /// Sizing and lifetime knobs of a [`ConnectionPool`].
@@ -346,6 +348,43 @@ impl ConnectionPool {
     }
 }
 
+/// Reads one response off the wire, reporting whether *any* response
+/// bytes arrived before the outcome was decided. The distinction drives
+/// resend safety on pooled connections: a keep-alive connection the
+/// server closed while idle yields zero bytes (the request was never
+/// processed — resending is safe even for a POST), whereas a connection
+/// that died mid-response may have committed the request's effects.
+fn read_response_probed(reader: &mut BufReader<TcpStream>) -> (bool, io::Result<HttpAnswer>) {
+    match reader.fill_buf() {
+        Ok([]) => {
+            (false, Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed")))
+        }
+        Ok(_) => (true, read_response(reader)),
+        Err(e) => (false, Err(e)),
+    }
+}
+
+/// Whether resending `method` after a stale-connection failure is safe.
+/// GET and DELETE are idempotent — always safe. POST (create,
+/// checkpoint, admin actions) is safe only when the failure arrived
+/// before any response byte: the server either never saw the request or
+/// closed the connection without starting to answer it.
+fn resend_safe(method: &str, got_response_bytes: bool) -> bool {
+    matches!(method, "GET" | "DELETE") || !got_response_bytes
+}
+
+/// Errors consistent with "the server closed the idle keep-alive
+/// connection between our requests".
+fn is_stale(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::BrokenPipe
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +403,17 @@ mod tests {
             |req| Response::text(200, format!("echo {}", req.path)),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn resend_safety_is_method_and_bytes_aware() {
+        // Idempotent verbs are always safe to resend.
+        assert!(resend_safe("GET", true));
+        assert!(resend_safe("GET", false));
+        assert!(resend_safe("DELETE", true));
+        // POST is safe only before the first response byte.
+        assert!(resend_safe("POST", false));
+        assert!(!resend_safe("POST", true));
     }
 
     #[test]
